@@ -88,3 +88,12 @@ CLUSTER_B = ClusterSpec(
     network_mbps=10000.0 / 8.0,  # 10Gbps -> 1250 MB/s
     disk_mbps=250.0,
 )
+
+
+def cluster_by_name(name: str) -> ClusterSpec:
+    """Resolve a cluster spec by its Table 3 name."""
+    if name == "A":
+        return CLUSTER_A
+    if name == "B":
+        return CLUSTER_B
+    raise KeyError(f"unknown cluster {name!r}")

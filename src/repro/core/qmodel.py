@@ -17,6 +17,7 @@ from ..cluster import ClusterSpec
 from ..config import MemoryConfig
 from ..profiler.stats import ProfileStats
 from ..simcluster.jvm import geometry
+from .relm import pool_demands
 
 
 def q_metrics(cfg: MemoryConfig, stats: ProfileStats, cluster: ClusterSpec) -> tuple[float, float, float]:
@@ -26,16 +27,7 @@ def q_metrics(cfg: MemoryConfig, stats: ProfileStats, cluster: ClusterSpec) -> t
     geom = geometry(m_h, cfg.new_ratio, cfg.survivor_ratio)
 
     # Modeled requirements (Eq 1 / Eq 2 as in the Initializer).
-    if stats.cache_mb > 0 and stats.cache_hit_ratio > 0:
-        m_c_req = m_h * min(stats.cache_mb / (stats.cache_hit_ratio * stats.heap_mb), 1.0)
-    else:
-        m_c_req = 0.0
-    if stats.shuffle_task_mb > 0:
-        m_s_req = stats.shuffle_task_mb / max(
-            1e-6, 1.0 - stats.spill_fraction / stats.task_concurrency
-        )
-    else:
-        m_s_req = 0.0
+    m_c_req, m_s_req = pool_demands(stats, m_h)
 
     # Configured capacities.
     m_c_x = cfg.cache_capacity * m_h

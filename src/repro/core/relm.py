@@ -96,6 +96,25 @@ def _new_ratio_from_old(old_mb: float, heap_mb: float) -> int:
     return int(clamp(math.ceil(old_mb / young), NEW_RATIO_MIN, NEW_RATIO_MAX))
 
 
+def pool_demands(stats: ProfileStats, heap_mb: float) -> tuple[float, float]:
+    """Eqs 1 and 2, uncapped: (cache m_c, per-task shuffle m_s) demand
+    for a heap of ``heap_mb``.
+
+    Eq 1 scales the observed cache usage by the hit ratio to the true
+    demand (at most the whole heap); Eq 2 scales the observed per-task
+    shuffle usage by the spill fraction.
+    """
+    if stats.cache_mb > 0 and stats.cache_hit_ratio > 0:
+        m_c = heap_mb * min(stats.cache_mb / (stats.cache_hit_ratio * stats.heap_mb), 1.0)
+    else:
+        m_c = 0.0
+    if stats.shuffle_task_mb > 0:
+        m_s = stats.shuffle_task_mb / max(1e-6, 1.0 - stats.spill_fraction / stats.task_concurrency)
+    else:
+        m_s = 0.0
+    return m_c, m_s
+
+
 def initialize(
     stats: ProfileStats,
     choice: ContainerChoice,
@@ -113,18 +132,10 @@ def initialize(
     n = choice.containers_per_node
     m_h = choice.heap_mb
 
-    # Eq 1 — scale observed cache usage by the hit ratio to the true demand.
-    if stats.cache_mb > 0 and stats.cache_hit_ratio > 0:
-        m_c = m_h * min(stats.cache_mb / (stats.cache_hit_ratio * stats.heap_mb), 1.0 - delta)
-    else:
-        m_c = 0.0
-
-    # Eq 2 — scale observed shuffle usage by the spill fraction.
-    if stats.shuffle_task_mb > 0:
-        denom = 1.0 - stats.spill_fraction / stats.task_concurrency
-        m_s = min(stats.shuffle_task_mb / max(1e-6, denom), (1.0 - delta) * m_h)
-    else:
-        m_s = 0.0
+    # Eqs 1 and 2, capped so δ of the heap stays unassigned.
+    m_c, m_s = pool_demands(stats, m_h)
+    m_c = min(m_c, (1.0 - delta) * m_h)
+    m_s = min(m_s, (1.0 - delta) * m_h)
 
     # Eq 3 — GC pools sized for the long-term requirements.
     nr, old, eden = _gc_pools(m_h, stats.code_mb, m_c, survivor_ratio)

@@ -3,7 +3,7 @@
 Each module exposes ``run(...)`` returning a :class:`~repro.experiments.tables.Table`
 whose rows reproduce the corresponding paper artifact, with the paper's
 published values carried alongside ours where the paper prints concrete
-numbers. ``jobs/run_table*.py`` are the spark-submit entrypoints.
+numbers. ``python -m repro.experiments <name ...|all>`` prints them.
 """
 from .tables import Table
 

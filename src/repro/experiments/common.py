@@ -3,10 +3,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ..cluster import CLUSTER_A, ClusterSpec
-from ..config import MemoryConfig, grid_configs, max_resource_allocation
+from ..cluster import CLUSTER_A, ClusterSpec, cluster_by_name
+from ..config import MemoryConfig, max_resource_allocation
 from ..profiler import ProfileStats, generate_stats, profile_with_full_gc
-from ..simcluster import simulate
+from ..tuners.base import Objective
+from ..tuners.exhaustive import exhaustive_search
 from ..workloads import dominant_pool, workload_model
 
 
@@ -27,8 +28,6 @@ def default_config(name: str, cluster: ClusterSpec = CLUSTER_A) -> MemoryConfig:
 def profiled_stats(name: str, cluster_name: str = "A", seed: int = 0) -> ProfileStats:
     """Profile a workload under its default config (re-profiling with the
     §4.1 GC-pressure heuristics when needed) and derive Table 6 stats."""
-    from ..tuners.exhaustive import cluster_by_name
-
     cluster = cluster_by_name(cluster_name)
     model = workload_model(name)
     profile, _ = profile_with_full_gc(model, default_config(name, cluster), cluster, seed=seed)
@@ -37,16 +36,14 @@ def profiled_stats(name: str, cluster_name: str = "A", seed: int = 0) -> Profile
 
 @lru_cache(maxsize=None)
 def grid_runtimes(name: str, cluster_name: str = "A", seed: int = 0) -> tuple:
-    """(runtime_sec of every §6.1 grid config, sorted ascending)."""
-    from ..tuners.exhaustive import cluster_by_name
-
-    cluster = cluster_by_name(cluster_name)
-    model = workload_model(name)
-    grid = grid_configs(cluster, dominant_pool=dominant_pool(name))
-    return tuple(sorted(simulate(model, c, cluster, seed=seed).runtime_sec for c in grid))
+    """(runtime_sec of every §6.1 grid config, in grid order) — one
+    Exhaustive Search sweep."""
+    objective = Objective(workload_model(name), cluster_by_name(cluster_name), seed=seed)
+    ex = exhaustive_search(objective, dominant_pool=dominant_pool(name))
+    return tuple(s.runtime_sec for s in ex.samples)
 
 
 def top5_threshold(name: str, cluster_name: str = "A", seed: int = 0) -> float:
     """Runtime of the top-5th-percentile grid configuration (§6.2)."""
-    rts = grid_runtimes(name, cluster_name, seed)
+    rts = sorted(grid_runtimes(name, cluster_name, seed))
     return rts[max(0, int(0.05 * len(rts)) - 1)]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster import CLUSTER_A
-from ..config import grid_configs
 from ..core import relm_recommend
 from ..simcluster import simulate
 from ..tuners.base import ConfigSpace, Objective
@@ -20,7 +19,7 @@ from ..tuners.ddpg import ddpg_tune
 from ..tuners.gbo import guided_bayesian_optimize
 from ..tuners.lhs import lhs_configs
 from ..workloads import SUITE, dominant_pool, workload_model
-from .common import default_config, profiled_stats, top5_threshold
+from .common import default_config, grid_runtimes, profiled_stats, top5_threshold
 from .tables import Table
 
 #: Approximate paper Figure 16 training overheads (% of Exhaustive) and
@@ -73,13 +72,6 @@ def train_to_top5(name: str, policy: str, *, seed: int = 0) -> tuple[float, int]
     return res.total_observation_sec, res.iterations
 
 
-def exhaustive_observation_sec(name: str, *, seed: int = 0) -> float:
-    """Total grid-sweep observation time (the Figure 16 baseline)."""
-    model = workload_model(name)
-    grid = grid_configs(CLUSTER_A, dominant_pool=dominant_pool(name))
-    return sum(simulate(model, c, CLUSTER_A, seed=seed).runtime_sec for c in grid)
-
-
 def run(seed: int = 0, *, n_repeats: int = 3) -> Table:
     t = Table(
         title="Figure 16 (numbers) — Training overheads vs Exhaustive Search",
@@ -92,7 +84,7 @@ def run(seed: int = 0, *, n_repeats: int = 3) -> Table:
         ],
     )
     for name in SUITE:
-        ex = exhaustive_observation_sec(name, seed=seed)
+        ex = sum(grid_runtimes(name, "A", seed))
         for policy in ("DDPG", "BO", "GBO", "RelM"):
             seeds = [seed] if policy == "RelM" else [seed + i for i in range(n_repeats)]
             obs, iters = zip(*(train_to_top5(name, policy, seed=s) for s in seeds))

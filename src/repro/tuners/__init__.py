@@ -1,7 +1,6 @@
 """Tuning policies evaluated in the paper (§5, §6).
 
-* :mod:`exhaustive` — grid search baseline (§6.1), optionally evaluated
-  in parallel through Spark;
+* :mod:`exhaustive` — grid search baseline (§6.1);
 * :mod:`bo` — Bayesian Optimization with a Gaussian-Process surrogate,
   Expected Improvement, LHS bootstrap, CherryPick stopping (§5.1);
 * :mod:`gbo` — Guided BO: the GP over (x, q(x)) (§5.2);

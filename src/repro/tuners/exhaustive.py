@@ -2,128 +2,23 @@
 
 Evaluates the full discretized grid (4 values per knob, dominant pool
 only — 176 configurations on Cluster A) and reports the best safe
-configuration. Besides the sequential path there is a Spark-parallel
-evaluator: the grid becomes a DataFrame and each configuration is
-simulated inside ``applyInPandas`` workers, which is both a real use of
-the Catalyst execution path for the tuning harness itself and the only
-way a 3-day (paper time) sweep is practical.
+configuration.
 """
 from __future__ import annotations
 
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-
-from ..cluster import CLUSTER_A, CLUSTER_B, ClusterSpec
-from ..config import MemoryConfig, grid_configs
+from ..config import grid_configs
 from .base import Objective, TuningResult
 
-_RESULT_SCHEMA = (
-    "containers_per_node int, task_concurrency int, cache_capacity double, "
-    "shuffle_capacity double, new_ratio int, runtime_sec double, aborted boolean, "
-    "failed_containers int, gc_overhead double, cache_hit_ratio double, "
-    "spill_fraction double"
-)
 
-
-def exhaustive_search(
-    objective: Objective,
-    *,
-    dominant_pool: str,
-    policy_name: str = "Exhaustive",
-) -> TuningResult:
-    """Sequentially evaluate the whole grid through ``objective``."""
+def exhaustive_search(objective: Objective, *, dominant_pool: str) -> TuningResult:
+    """Sequentially evaluate the whole grid through ``objective``; the
+    samples come back in grid order."""
     for cfg in grid_configs(objective.cluster, dominant_pool=dominant_pool):
         objective(cfg)
     best = objective.best()
     return TuningResult(
-        policy=policy_name,
+        policy="Exhaustive",
         best_config=best.config,
         best_runtime_sec=best.runtime_sec,
         samples=list(objective.history),
     )
-
-
-def grid_df(spark: SparkSession, cluster: ClusterSpec, *, dominant_pool: str) -> DataFrame:
-    """The §6.1 grid as a Spark DataFrame (one row per configuration)."""
-    rows = [c.as_row() for c in grid_configs(cluster, dominant_pool=dominant_pool)]
-    return spark.createDataFrame(pd.DataFrame(rows))
-
-
-def exhaustive_search_spark(
-    spark: SparkSession,
-    workload_name: str,
-    cluster: ClusterSpec,
-    *,
-    dominant_pool: str,
-    seed: int = 0,
-) -> pd.DataFrame:
-    """Evaluate the grid in parallel via ``applyInPandas``.
-
-    Returns a pandas frame of per-configuration observables sorted by
-    runtime. The workload is addressed by name so the pandas UDF closure
-    stays small and picklable; each worker re-resolves the model from
-    the registry.
-    """
-    cluster_name = cluster.name
-
-    def evaluate(pdf: pd.DataFrame) -> pd.DataFrame:
-        # Imports inside the UDF: executed on Spark python workers.
-        from repro.cluster import CLUSTER_A as A, CLUSTER_B as B
-        from repro.config import MemoryConfig as MC
-        from repro.simcluster import simulate
-        from repro.workloads import workload_model
-
-        cl = A if cluster_name == "A" else B
-        model = workload_model(workload_name)
-        out = []
-        for _, row in pdf.iterrows():
-            cfg = MC(
-                containers_per_node=int(row.containers_per_node),
-                task_concurrency=int(row.task_concurrency),
-                cache_capacity=float(row.cache_capacity),
-                shuffle_capacity=float(row.shuffle_capacity),
-                new_ratio=int(row.new_ratio),
-            )
-            r = simulate(model, cfg, cl, seed=seed)
-            out.append(
-                {
-                    **cfg.as_row(),
-                    "runtime_sec": r.runtime_sec,
-                    "aborted": r.aborted,
-                    "failed_containers": r.failed_containers,
-                    "gc_overhead": r.gc_overhead,
-                    "cache_hit_ratio": r.cache_hit_ratio,
-                    "spill_fraction": r.spill_fraction,
-                }
-            )
-        return pd.DataFrame(out)
-
-    df = grid_df(spark, cluster, dominant_pool=dominant_pool)
-    result = (
-        df.groupBy("containers_per_node")  # one worker batch per container size
-        .applyInPandas(evaluate, schema=_RESULT_SCHEMA)
-        .toPandas()
-    )
-    return result.sort_values("runtime_sec").reset_index(drop=True)
-
-
-def cluster_by_name(name: str) -> ClusterSpec:
-    """Resolve a cluster spec by its Table 3 name."""
-    if name == "A":
-        return CLUSTER_A
-    if name == "B":
-        return CLUSTER_B
-    raise KeyError(f"unknown cluster {name!r}")
-
-
-def best_safe_row(result: pd.DataFrame) -> pd.Series:
-    """Fastest configuration with no failures from a sweep frame."""
-    safe = result[(~result.aborted) & (result.failed_containers == 0)]
-    pool = safe if len(safe) else result
-    return pool.sort_values("runtime_sec").iloc[0]
-
-
-def top_percentile_threshold(result: pd.DataFrame, pct: float = 0.05) -> float:
-    """Runtime threshold of the top ``pct`` of all grid configurations —
-    the paper's "performance within top 5 percentile" training target."""
-    return float(result.runtime_sec.quantile(pct))

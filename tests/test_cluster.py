@@ -1,7 +1,7 @@
 """Cluster specs and container enumeration (paper Table 3, §4 example)."""
 import pytest
 
-from repro.cluster import CLUSTER_A, CLUSTER_B, ClusterSpec
+from repro.cluster import CLUSTER_A, CLUSTER_B, ClusterSpec, cluster_by_name
 
 
 class TestClusterA:
@@ -61,3 +61,13 @@ class TestCustomSpec:
             cores_per_node=2, network_mbps=100, disk_mbps=50,
         )
         assert spec.max_task_concurrency(4) == 1
+
+
+class TestClusterResolver:
+    @pytest.mark.parametrize("name", ["A", "B"])
+    def test_known(self, name):
+        assert cluster_by_name(name).name == name
+
+    def test_unknown(self):
+        with pytest.raises(KeyError):
+            cluster_by_name("C")

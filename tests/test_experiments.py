@@ -1,4 +1,9 @@
 """Experiment harnesses: every table runs and key shape claims hold."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import (
@@ -13,6 +18,8 @@ from repro.experiments import (
 )
 from repro.experiments.tables import Table, config_str
 from repro.config import MemoryConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestTableContainer:
@@ -142,3 +149,20 @@ class TestFig27:
         # §6.6: 5 cross-test samples suffice to land near the natively
         # trained agent's result.
         assert by_agent["DDPG_A^B"] <= 1.5 * by_agent["DDPG_B^B"]
+
+
+class TestCli:
+    def _run(self, *args):
+        env = {**os.environ, "PYTHONPATH": "src"}
+        return subprocess.run([sys.executable, "-m", "repro.experiments", *args],
+                              cwd=ROOT, env=env, capture_output=True, text=True)
+
+    def test_prints_one_table(self):
+        out = self._run("table4_defaults")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == table4_defaults.run().to_markdown() + "\n"
+
+    def test_unknown_name_lists_valid_names(self):
+        out = self._run("table99")
+        assert out.returncode != 0
+        assert "table4_defaults" in out.stderr and "fig16_overheads" in out.stderr
