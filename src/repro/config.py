@@ -10,14 +10,14 @@ A :class:`MemoryConfig` carries the five knobs every policy tunes
 * ``new_ratio`` — JVM Old:Young capacity ratio (ParallelGC).
 
 Also defined here: the Amazon-EMR ``MaxResourceAllocation`` default policy
-(Table 4) and the discretized grid the Exhaustive Search policy probes
-(§6.1: 4 values per knob, only the dominant one of Cache/Shuffle varied,
-the minor pool pinned at 0.1).
+(Table 4) and the knob values of the discretized grid the Exhaustive
+Search policy probes (§6.1: 4 values per knob, only the dominant one of
+Cache/Shuffle varied, the minor pool pinned at ``MINOR_POOL_CAPACITY``).
+:class:`repro.tuners.base.ConfigSpace` builds the grid from them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
 
 from .cluster import ClusterSpec
 
@@ -105,39 +105,3 @@ def unified_pool_fraction(cfg: MemoryConfig) -> float:
     """Spark's unified memory pool = Cache Capacity + Shuffle Capacity (§6.1)."""
     return cfg.cache_capacity + cfg.shuffle_capacity
 
-
-def grid_configs(cluster: ClusterSpec, *, dominant_pool: str) -> list[MemoryConfig]:
-    """The Exhaustive Search grid (§6.1).
-
-    ``dominant_pool`` is ``"cache"`` for cache-heavy apps (K-means, SVM,
-    PageRank) or ``"shuffle"`` for shuffle-only apps (WordCount,
-    SortByKey). Only the dominant pool fraction is varied; the minor one
-    is pinned to :data:`MINOR_POOL_CAPACITY` (0 when the app does not use
-    it at all is handled by the workload model, not the grid). Task
-    Concurrency values are capped by cores/containers.
-    """
-    if dominant_pool not in ("cache", "shuffle"):
-        raise ValueError(f"dominant_pool must be cache|shuffle, got {dominant_pool}")
-    out: list[MemoryConfig] = []
-    for n, p, frac, nr in product(
-        range(1, cluster.max_containers_per_node + 1),
-        GRID_TASK_CONCURRENCY,
-        GRID_POOL_FRACTIONS,
-        GRID_NEW_RATIOS,
-    ):
-        if p > cluster.max_task_concurrency(n):
-            continue
-        if dominant_pool == "cache":
-            cache, shuffle = frac, MINOR_POOL_CAPACITY
-        else:
-            cache, shuffle = 0.0, frac
-        out.append(
-            MemoryConfig(
-                containers_per_node=n,
-                task_concurrency=p,
-                cache_capacity=cache,
-                shuffle_capacity=shuffle,
-                new_ratio=nr,
-            )
-        )
-    return out

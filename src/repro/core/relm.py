@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from ..cluster import ClusterSpec, ContainerChoice
 from ..config import NEW_RATIO_MAX, NEW_RATIO_MIN, MemoryConfig
 from ..profiler.stats import ProfileStats
+from ..simcluster.jvm import geometry
 from ..units import clamp
 
 #: Safety factor δ: fraction of memory kept unassigned (§6.1 uses 0.1).
@@ -72,24 +73,11 @@ class ArbitratedConfig:
         )
 
 
-def _gc_pools(heap_mb: float, code_mb: float, cache_mb: float, survivor_ratio: int) -> tuple[int, float, float]:
-    """Eq 3: NewRatio sized so Old just fits the long-term pools.
-
-    Returns (NR, old_mb, eden_mb).
-    """
-    long_term = code_mb + cache_mb
-    denom = heap_mb - long_term
-    if denom <= 0:
-        nr = NEW_RATIO_MAX
-    else:
-        nr = int(clamp(math.ceil(long_term / denom), NEW_RATIO_MIN, NEW_RATIO_MAX))
-    old = heap_mb * nr / (nr + 1)
-    eden = heap_mb / (nr + 1) * (survivor_ratio - 2) / survivor_ratio
-    return nr, old, eden
-
-
 def _new_ratio_from_old(old_mb: float, heap_mb: float) -> int:
-    """Invert old = heap·NR/(NR+1); ceil keeps Old at least ``old_mb``."""
+    """Invert old = heap·NR/(NR+1); ceil keeps Old at least ``old_mb``.
+
+    Eq 3 calls it with the long-term pools (code + cache) as ``old_mb``.
+    """
     young = heap_mb - old_mb
     if young <= 0:
         return NEW_RATIO_MAX
@@ -137,8 +125,9 @@ def initialize(
     m_c = min(m_c, (1.0 - delta) * m_h)
     m_s = min(m_s, (1.0 - delta) * m_h)
 
-    # Eq 3 — GC pools sized for the long-term requirements.
-    nr, old, eden = _gc_pools(m_h, stats.code_mb, m_c, survivor_ratio)
+    # Eq 3 — NewRatio sized so Old just fits the long-term pools.
+    nr = _new_ratio_from_old(stats.code_mb + m_c, m_h)
+    geom = geometry(m_h, nr, survivor_ratio)
 
     # Eq 4 — concurrency bounded by each resource, linear model. The
     # paper's formula divides node utilization by P alone because its
@@ -161,8 +150,8 @@ def initialize(
         shuffle_task_mb=m_s,
         task_concurrency=p,
         new_ratio=nr,
-        old_mb=old,
-        eden_mb=eden,
+        old_mb=geom.old_mb,
+        eden_mb=geom.eden_mb,
     )
 
 
@@ -208,13 +197,15 @@ def arbitrate(
             # II. Reduce Cache Storage by M_u; re-derive GC pools (Eq 3).
             if m_c - m_u > 0:
                 m_c -= m_u
-                nr, old, eden = _gc_pools(m_h, m_i, m_c, survivor_ratio)
+                nr = _new_ratio_from_old(m_i + m_c, m_h)
+                geom = geometry(m_h, nr, survivor_ratio)
+                old, eden = geom.old_mb, geom.eden_mb
         else:
             # III. Grow Old by M_u (trade GC overhead for safety, Obs 6).
             if old + m_u < (1.0 - delta) * m_h:
                 old += m_u
                 nr = _new_ratio_from_old(old, m_h)
-                eden = m_h / (nr + 1) * (survivor_ratio - 2) / survivor_ratio
+                eden = geometry(m_h, nr, survivor_ratio).eden_mb
         # If every action is exhausted, the loop cannot progress.
         if p == 1 and m_c - m_u <= 0 and old + m_u >= (1.0 - delta) * m_h:
             if (m_i + p * m_u + m_c) > old:

@@ -18,6 +18,7 @@ from ..tuners.bo import bayesian_optimize
 from ..tuners.ddpg import ddpg_tune
 from ..tuners.gbo import guided_bayesian_optimize
 from ..tuners.lhs import lhs_configs
+from ..tuners.rf import RandomForest
 from ..workloads import SUITE, dominant_pool, workload_model
 from .common import default_config, grid_runtimes, profiled_stats, top5_threshold
 from .tables import Table
@@ -36,37 +37,46 @@ MAX_ITERS = 60
 DDPG_MAX_STEPS = 80
 
 
-def train_to_top5(name: str, policy: str, *, seed: int = 0) -> tuple[float, int]:
+def train_to_top5(
+    name: str, policy: str, *, seed: int = 0, surrogate: str = "GP"
+) -> tuple[float, int]:
     """(total observation seconds, iterations) until a clean run lands in
-    the top-5 percentile; caps apply if the policy never converges."""
+    the top-5 percentile; caps apply if the policy never converges.
+
+    ``surrogate`` is BO/GBO's model: ``"GP"`` or the Random Forest of
+    §6.5 (``"RF"``, Figure 26).
+    """
+    if surrogate not in ("GP", "RF"):
+        raise ValueError(f"unknown surrogate {surrogate!r}")
     model = workload_model(name)
     dp = dominant_pool(name)
     space = ConfigSpace(CLUSTER_A, dp)
     thr = top5_threshold(name, "A", seed)
     stats = profiled_stats(name, "A", seed)
     objective = Objective(model, CLUSTER_A, seed=seed)
-    rng = np.random.default_rng(seed)
 
     if policy == "RelM":
         # One profiling run (the default config) is the whole cost.
         run = simulate(model, default_config(name), CLUSTER_A, seed=seed)
         relm_recommend(stats, CLUSTER_A)
         return run.runtime_sec, 1
-    if policy == "BO":
-        res = bayesian_optimize(
-            objective, space, seed=seed, bootstrap=lhs_configs(space, rng),
-            max_iters=MAX_ITERS, target_runtime_sec=thr,
-        )
-    elif policy == "GBO":
-        res = guided_bayesian_optimize(
-            objective, space, stats, seed=seed, bootstrap=lhs_configs(space, rng),
-            max_iters=MAX_ITERS, target_runtime_sec=thr,
-        )
-    elif policy == "DDPG":
+    if policy == "DDPG":
         res, _ = ddpg_tune(
             objective, space, stats, default_config(name), seed=seed,
             max_steps=DDPG_MAX_STEPS, stop_runtime_sec=thr,
         )
+    elif policy in ("BO", "GBO"):
+        fit = None
+        if surrogate == "RF":
+            fit = lambda x, y: RandomForest.fit(x, y, seed=seed)  # noqa: E731
+        kw = dict(
+            seed=seed, bootstrap=lhs_configs(space, np.random.default_rng(seed)),
+            surrogate_fit=fit, max_iters=MAX_ITERS, target_runtime_sec=thr,
+        )
+        if policy == "BO":
+            res = bayesian_optimize(objective, space, **kw)
+        else:
+            res = guided_bayesian_optimize(objective, space, stats, **kw)
     else:
         raise ValueError(f"unknown policy {policy!r}")
     return res.total_observation_sec, res.iterations

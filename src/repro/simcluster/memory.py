@@ -65,11 +65,6 @@ class MemoryLayout:
     spill_gc_ratio: float
     rss_overrun_mb: float
 
-    @property
-    def task_mb(self) -> float:
-        """Per-task short-term footprint (M_u + granted shuffle)."""
-        return self.unmanaged_task_mb + self.shuffle_used_task_mb
-
 
 def layout(model: WorkloadModel, cfg: MemoryConfig, cluster: ClusterSpec) -> MemoryLayout:
     """Resolve pool occupancy and pressures for ``cfg`` on ``cluster``."""

@@ -1,5 +1,7 @@
 """Tuning policies evaluated in the paper (§5, §6).
 
+* :mod:`base` — the §6.1 search space (:class:`ConfigSpace`, the one
+  mapping from knob values to a ``MemoryConfig``) and the objective;
 * :mod:`exhaustive` — grid search baseline (§6.1);
 * :mod:`bo` — Bayesian Optimization with a Gaussian-Process surrogate,
   Expected Improvement, LHS bootstrap, CherryPick stopping (§5.1);

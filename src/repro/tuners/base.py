@@ -3,9 +3,10 @@
 The configuration space follows §6.1: four tuned dimensions —
 Containers per Node, Task Concurrency, the dominant pool fraction
 (Cache Capacity for cache-heavy apps, Shuffle Capacity otherwise; the
-minor pool is pinned at 0.1), and NewRatio. The objective is the
-application runtime; an aborted run scores twice the worst runtime seen
-so far so failing regions rank low during exploration (§6.1).
+minor pool is pinned at ``MINOR_POOL_CAPACITY``), and NewRatio. The
+objective is the application runtime; an aborted run scores twice the
+worst runtime seen so far so failing regions rank low during
+exploration (§6.1).
 """
 from __future__ import annotations
 
@@ -14,7 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cluster import ClusterSpec
-from ..config import MINOR_POOL_CAPACITY, NEW_RATIO_MAX, MemoryConfig
+from ..config import (
+    GRID_NEW_RATIOS,
+    GRID_POOL_FRACTIONS,
+    GRID_TASK_CONCURRENCY,
+    MINOR_POOL_CAPACITY,
+    NEW_RATIO_MAX,
+    MemoryConfig,
+)
 from ..simcluster.runtime import SimulatedRun, simulate
 from ..workloads.base import WorkloadModel
 
@@ -29,6 +37,11 @@ class Sample:
     aborted: bool
     failed_containers: int
     run: SimulatedRun
+
+    def meets(self, target_sec: float) -> bool:
+        """A clean run (not aborted, no failed container) at or under
+        ``target_sec`` — the §6.2 "within the top 5 percentile" stop."""
+        return not self.aborted and self.failed_containers == 0 and self.runtime_sec <= target_sec
 
 
 @dataclass
@@ -55,6 +68,11 @@ class TuningResult:
 class ConfigSpace:
     """The §6.1 tuning space with a [0,1]^4 continuous encoding.
 
+    :meth:`config` is the one place §6.1 knob values become a
+    :class:`MemoryConfig`; the discrete grid (:meth:`grid`), the
+    continuous encoding (:meth:`decode`) and the Table 7 bootstrap all go
+    through it.
+
     Encoding order: (containers_per_node, task_concurrency,
     dominant_pool_fraction, new_ratio). Decoding clamps Task Concurrency
     to the per-container core budget, so any point of the unit cube maps
@@ -71,19 +89,19 @@ class ConfigSpace:
         self.dominant_pool = dominant_pool
         self.dim = 4
 
-    def decode(self, x: np.ndarray) -> MemoryConfig:
-        """Map a unit-cube point to a valid MemoryConfig."""
-        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        n = int(round(1 + x[0] * (self.cluster.max_containers_per_node - 1)))
-        p_max = self.cluster.max_task_concurrency(n)
-        p = int(round(1 + x[1] * (self.cluster.cores_per_node - 1)))
-        p = max(1, min(p, p_max))
-        frac = float(self.FRAC_MIN + x[2] * (self.FRAC_MAX - self.FRAC_MIN))
-        nr = int(round(1 + x[3] * (NEW_RATIO_MAX - 1)))
+    def config(self, n: int, p: int, frac: float, nr: int) -> MemoryConfig:
+        """The configuration for §6.1 knob values.
+
+        Task Concurrency is capped at cores/containers. ``frac`` sizes
+        the dominant pool; the minor one is pinned at
+        :data:`MINOR_POOL_CAPACITY` for cache-heavy apps, and
+        shuffle-only apps get no cache at all.
+        """
+        p = min(p, self.cluster.max_task_concurrency(n))
         if self.dominant_pool == "cache":
-            cache, shuffle = round(frac, 2), MINOR_POOL_CAPACITY
+            cache, shuffle = frac, MINOR_POOL_CAPACITY
         else:
-            cache, shuffle = 0.0, round(frac, 2)
+            cache, shuffle = 0.0, frac
         return MemoryConfig(
             containers_per_node=n,
             task_concurrency=p,
@@ -91,6 +109,28 @@ class ConfigSpace:
             shuffle_capacity=shuffle,
             new_ratio=nr,
         )
+
+    def grid(self) -> list[MemoryConfig]:
+        """The Exhaustive Search grid (§6.1: 4 values per knob, only the
+        dominant pool varied), skipping Task Concurrency values above
+        the core cap — 176 configurations on Cluster A."""
+        return [
+            self.config(n, p, frac, nr)
+            for n in range(1, self.cluster.max_containers_per_node + 1)
+            for p in GRID_TASK_CONCURRENCY
+            if p <= self.cluster.max_task_concurrency(n)
+            for frac in GRID_POOL_FRACTIONS
+            for nr in GRID_NEW_RATIOS
+        ]
+
+    def decode(self, x: np.ndarray) -> MemoryConfig:
+        """Map a unit-cube point to a valid MemoryConfig."""
+        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+        n = int(round(1 + x[0] * (self.cluster.max_containers_per_node - 1)))
+        p = int(round(1 + x[1] * (self.cluster.cores_per_node - 1)))
+        frac = float(self.FRAC_MIN + x[2] * (self.FRAC_MAX - self.FRAC_MIN))
+        nr = int(round(1 + x[3] * (NEW_RATIO_MAX - 1)))
+        return self.config(n, p, round(frac, 2), nr)
 
     def encode(self, cfg: MemoryConfig) -> np.ndarray:
         """Inverse of :meth:`decode` (up to rounding)."""
@@ -150,3 +190,15 @@ class Objective:
         clean = [s for s in self.history if not s.aborted]
         pool = clean if clean else self.history
         return min(pool, key=lambda s: s.objective)
+
+    def result(self, policy: str, **timings: float) -> TuningResult:
+        """The session so far as a :class:`TuningResult` for ``policy``;
+        ``timings`` are its ``fit_seconds``/``probe_seconds``."""
+        best = self.best()
+        return TuningResult(
+            policy=policy,
+            best_config=best.config,
+            best_runtime_sec=best.runtime_sec,
+            samples=list(self.history),
+            **timings,
+        )

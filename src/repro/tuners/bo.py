@@ -19,8 +19,8 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from ..config import MemoryConfig, grid_configs
-from .base import ConfigSpace, Objective, Sample, TuningResult
+from ..config import MemoryConfig
+from .base import ConfigSpace, Objective, TuningResult
 from .gp import GaussianProcess, expected_improvement
 from .lhs import lhs_configs
 
@@ -88,6 +88,7 @@ def bayesian_optimize(
     for cfg in boot:
         objective(cfg)
 
+    grid = space.grid()
     fit_sec = probe_sec = 0.0
     adaptive = 0
     best_trace: list[float] = []
@@ -104,7 +105,7 @@ def bayesian_optimize(
         # around the incumbent (the random + gradient-search combo of
         # §5.1, adapted to a mixed discrete/continuous space).
         cands = space.sample(rng, N_CANDIDATES)
-        cands.extend(grid_configs(space.cluster, dominant_pool=space.dominant_pool))
+        cands.extend(grid)
         inc = space.encode(objective.best().config)
         for _ in range(N_NEIGHBORS):
             cands.append(space.decode(inc + rng.normal(0.0, NEIGHBOR_STEP, space.dim)))
@@ -129,11 +130,7 @@ def bayesian_optimize(
         adaptive += 1
 
         if target_runtime_sec is not None:
-            if (
-                not picked.aborted
-                and picked.failed_containers == 0
-                and picked.runtime_sec <= target_runtime_sec
-            ):
+            if picked.meets(target_runtime_sec):
                 break
             continue
 
@@ -148,12 +145,4 @@ def bayesian_optimize(
             ):
                 break
 
-    best = objective.best()
-    return TuningResult(
-        policy=policy_name,
-        best_config=best.config,
-        best_runtime_sec=best.runtime_sec,
-        samples=list(objective.history),
-        fit_seconds=fit_sec,
-        probe_seconds=probe_sec,
-    )
+    return objective.result(policy_name, fit_seconds=fit_sec, probe_seconds=probe_sec)

@@ -246,21 +246,7 @@ def ddpg_tune(
         for _ in range(TRAIN_STEPS_PER_OBS):
             agent.train_step(rng)
         state, prev_runtime = next_state, sample.objective
-        if (
-            stop_runtime_sec is not None
-            and not sample.aborted
-            and sample.failed_containers == 0
-            and sample.runtime_sec <= stop_runtime_sec
-        ):
+        if stop_runtime_sec is not None and sample.meets(stop_runtime_sec):
             break
 
-    best = objective.best()
-    return (
-        TuningResult(
-            policy=policy_name,
-            best_config=best.config,
-            best_runtime_sec=best.runtime_sec,
-            samples=list(objective.history),
-        ),
-        agent,
-    )
+    return objective.result(policy_name), agent

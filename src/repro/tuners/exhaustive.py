@@ -6,19 +6,12 @@ configuration.
 """
 from __future__ import annotations
 
-from ..config import grid_configs
-from .base import Objective, TuningResult
+from .base import ConfigSpace, Objective, TuningResult
 
 
 def exhaustive_search(objective: Objective, *, dominant_pool: str) -> TuningResult:
     """Sequentially evaluate the whole grid through ``objective``; the
     samples come back in grid order."""
-    for cfg in grid_configs(objective.cluster, dominant_pool=dominant_pool):
+    for cfg in ConfigSpace(objective.cluster, dominant_pool).grid():
         objective(cfg)
-    best = objective.best()
-    return TuningResult(
-        policy="Exhaustive",
-        best_config=best.config,
-        best_runtime_sec=best.runtime_sec,
-        samples=list(objective.history),
-    )
+    return objective.result("Exhaustive")

@@ -37,20 +37,4 @@ def paper_table7_samples(space: ConfigSpace) -> list[MemoryConfig]:
     each dimension's strata are hit exactly once, the LHS property.
     """
     rows = [(1, 4, 0.6, 7), (2, 1, 0.4, 3), (3, 2, 0.2, 5), (4, 2, 0.8, 1)]
-    out = []
-    for n, p, frac, nr in rows:
-        p = min(p, space.cluster.max_task_concurrency(n))
-        if space.dominant_pool == "cache":
-            cache, shuffle = frac, 0.1
-        else:
-            cache, shuffle = 0.0, frac
-        out.append(
-            MemoryConfig(
-                containers_per_node=n,
-                task_concurrency=p,
-                cache_capacity=cache,
-                shuffle_capacity=shuffle,
-                new_ratio=nr,
-            )
-        )
-    return out
+    return [space.config(*row) for row in rows]

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import zlib
 
-MB = 1.0
 GB = 1024.0
 
 
@@ -25,18 +24,6 @@ def clamp(x: float, lo: float, hi: float) -> float:
     if lo > hi:
         raise ValueError(f"clamp bounds inverted: lo={lo} hi={hi}")
     return max(lo, min(hi, x))
-
-
-def mb_str(mb: float) -> str:
-    """Render a MB quantity the way the paper prints it (e.g. ``4404MB``)."""
-    if mb >= GB and abs(mb / GB - round(mb / GB, 1)) < 1e-9:
-        return f"{mb / GB:.1f}GB".replace(".0GB", "GB")
-    return f"{int(round(mb))}MB"
-
-
-def minutes(seconds: float) -> float:
-    """Seconds → minutes."""
-    return seconds / 60.0
 
 
 def stable_seed(*parts) -> int:

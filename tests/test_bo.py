@@ -1,9 +1,11 @@
 """BO / GBO tuning loops (§5.1, §5.2) and the objective runner."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.cluster import CLUSTER_A
-from repro.config import MemoryConfig
+from repro.config import MINOR_POOL_CAPACITY, MemoryConfig
 from repro.experiments.common import profiled_stats, top5_threshold
 from repro.tuners.base import ConfigSpace, Objective
 from repro.tuners.bo import MIN_ADAPTIVE_SAMPLES, bayesian_optimize
@@ -45,6 +47,25 @@ class TestObjective:
         clean = obj(MemoryConfig(2, 1, 0.4, 0.0, 3))
         assert obj.best().config == clean.config
 
+    def test_result_is_best_plus_history(self):
+        obj = Objective(workload_model("PageRank"), CLUSTER_A)
+        obj(MemoryConfig(1, 2, 0.6, 0.0, 2))  # aborted
+        clean = obj(MemoryConfig(2, 1, 0.4, 0.0, 3))
+        res = obj.result("X", fit_seconds=1.5)
+        assert (res.policy, res.best_config, res.best_runtime_sec) == (
+            "X", clean.config, clean.runtime_sec)
+        assert res.samples == obj.history and res.samples is not obj.history
+        assert (res.fit_seconds, res.probe_seconds) == (1.5, 0.0)
+
+    def test_meets_needs_a_clean_run_at_target(self):
+        obj = Objective(workload_model("PageRank"), CLUSTER_A)
+        bad = obj(MemoryConfig(1, 2, 0.6, 0.0, 2))
+        clean = obj(MemoryConfig(2, 1, 0.4, 0.0, 3))
+        assert clean.meets(clean.runtime_sec)
+        assert not clean.meets(clean.runtime_sec - 1e-6)
+        assert not replace(clean, failed_containers=1).meets(clean.runtime_sec)
+        assert bad.aborted and not bad.meets(float("inf"))
+
 
 class TestConfigSpace:
     def test_decode_unit_cube_corners(self):
@@ -78,6 +99,13 @@ class TestConfigSpace:
     def test_rejects_unknown_pool(self):
         with pytest.raises(ValueError):
             ConfigSpace(CLUSTER_A, "heap")
+
+    @pytest.mark.parametrize(
+        "pool,cache,shuffle", [("cache", 0.6, MINOR_POOL_CAPACITY), ("shuffle", 0.0, 0.6)]
+    )
+    def test_config_caps_concurrency_and_places_pools(self, pool, cache, shuffle):
+        cfg = ConfigSpace(CLUSTER_A, pool).config(4, 8, 0.6, 7)
+        assert cfg == MemoryConfig(4, CLUSTER_A.max_task_concurrency(4), cache, shuffle, 7)
 
 
 class TestBayesianOptimize:

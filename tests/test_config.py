@@ -7,10 +7,10 @@ from repro.config import (
     GRID_POOL_FRACTIONS,
     MINOR_POOL_CAPACITY,
     MemoryConfig,
-    grid_configs,
     max_resource_allocation,
     unified_pool_fraction,
 )
+from repro.tuners.base import ConfigSpace
 
 
 class TestMemoryConfigValidation:
@@ -73,39 +73,49 @@ class TestDefaults:
 
 
 class TestGrid:
-    @pytest.mark.parametrize("pool", ["cache", "shuffle"])
-    def test_grid_size_near_paper(self, pool):
+    @pytest.mark.parametrize(
+        "cluster,pool,size",
+        [
+            pytest.param(CLUSTER_A, "cache", 176, id="cache"),
+            pytest.param(CLUSTER_A, "shuffle", 176, id="shuffle"),
+            pytest.param(CLUSTER_B, "shuffle", 224, id="B-shuffle"),
+        ],
+    )
+    def test_grid_size_near_paper(self, cluster, pool, size):
         # Paper reports 192 configurations; with Task Concurrency capped
-        # at cores/containers our grid has 176 (see EXPERIMENTS.md).
-        grid = grid_configs(CLUSTER_A, dominant_pool=pool)
-        assert len(grid) == 176
+        # at cores/containers our grid has 176 on Cluster A (see
+        # EXPERIMENTS.md). Cluster B's 16 cores drop only p=8 at n=3, 4.
+        grid = ConfigSpace(cluster, pool).grid()
+        assert len(grid) == size
+        for c in grid:
+            assert c.task_concurrency <= cluster.max_task_concurrency(c.containers_per_node)
 
     def test_grid_unique(self):
-        grid = grid_configs(CLUSTER_A, dominant_pool="cache")
+        grid = ConfigSpace(CLUSTER_A, "cache").grid()
         assert len({tuple(c.as_row().values()) for c in grid}) == len(grid)
 
     def test_cache_grid_pins_minor_shuffle(self):
-        for c in grid_configs(CLUSTER_A, dominant_pool="cache"):
+        for c in ConfigSpace(CLUSTER_A, "cache").grid():
             assert c.shuffle_capacity == MINOR_POOL_CAPACITY
             assert c.cache_capacity in GRID_POOL_FRACTIONS
 
     def test_shuffle_grid_has_no_cache(self):
-        for c in grid_configs(CLUSTER_A, dominant_pool="shuffle"):
+        for c in ConfigSpace(CLUSTER_A, "shuffle").grid():
             assert c.cache_capacity == 0.0
             assert c.shuffle_capacity in GRID_POOL_FRACTIONS
 
     def test_new_ratios_from_grid(self):
-        nrs = {c.new_ratio for c in grid_configs(CLUSTER_A, dominant_pool="cache")}
+        nrs = {c.new_ratio for c in ConfigSpace(CLUSTER_A, "cache").grid()}
         assert nrs == set(GRID_NEW_RATIOS)
 
     def test_concurrency_capped_by_cores(self):
-        for c in grid_configs(CLUSTER_A, dominant_pool="cache"):
+        for c in ConfigSpace(CLUSTER_A, "cache").grid():
             assert c.task_concurrency <= CLUSTER_A.max_task_concurrency(c.containers_per_node)
 
     def test_cluster_b_grid_larger_cores(self):
-        grid = grid_configs(CLUSTER_B, dominant_pool="cache")
+        grid = ConfigSpace(CLUSTER_B, "cache").grid()
         assert any(c.task_concurrency == 8 for c in grid)
 
     def test_rejects_unknown_pool(self):
         with pytest.raises(ValueError):
-            grid_configs(CLUSTER_A, dominant_pool="heap")
+            ConfigSpace(CLUSTER_A, "heap")

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import (
+    fig16_overheads,
     fig27_ddpg_generality,
     table4_defaults,
     table5_manual_pagerank,
@@ -140,6 +141,12 @@ class TestTpchRelm:
         t = tpch_relm.run()
         saving = int(t.rows[1]["saving"].rstrip("%"))
         assert 25 <= saving <= 60  # paper: 40%
+
+
+class TestFig16:
+    def test_rejects_unknown_surrogate(self):
+        with pytest.raises(ValueError, match="surrogate"):
+            fig16_overheads.train_to_top5("SVM", "BO", surrogate="XGB")
 
 
 class TestFig27:

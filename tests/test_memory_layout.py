@@ -2,8 +2,9 @@
 import pytest
 
 from repro.cluster import CLUSTER_A
-from repro.config import MemoryConfig, grid_configs
+from repro.config import MemoryConfig
 from repro.simcluster.memory import layout
+from repro.tuners.base import ConfigSpace
 from repro.workloads import SUITE, dominant_pool, workload_model
 
 
@@ -139,7 +140,7 @@ class TestGridSweepSanity:
     @pytest.mark.parametrize("name", SUITE)
     def test_all_grid_layouts_resolve(self, name):
         m = workload_model(name)
-        for cfg in grid_configs(CLUSTER_A, dominant_pool=dominant_pool(name)):
+        for cfg in ConfigSpace(CLUSTER_A, dominant_pool(name)).grid():
             lay = layout(m, cfg, CLUSTER_A)
             assert lay.heap_pressure > 0
             assert lay.old_pressure > 0

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import CLUSTER_A
 from repro.config import NEW_RATIO_MAX, NEW_RATIO_MIN
 from repro.core import arbitrate, initialize, relm_recommend
-from repro.core.relm import _gc_pools, _new_ratio_from_old
+from repro.core.relm import _new_ratio_from_old
 from repro.profiler.stats import ProfileStats
 from repro.simcluster import simulate
+from repro.simcluster.jvm import geometry
 from repro.workloads import SUITE, workload_model
 from repro.experiments.common import default_config, profiled_stats
 
@@ -73,10 +74,12 @@ class TestInitializerEquations:
         assert init.task_concurrency <= CLUSTER_A.cores_per_node
 
     def test_gc_pools_eq3(self):
-        nr, old, eden = _gc_pools(4404, 115, 2000, 8)
+        # Eq 3: NewRatio sized so Old holds code + cache.
+        nr = _new_ratio_from_old(115 + 2000, 4404)
+        geom = geometry(4404, nr, 8)
         assert nr == math.ceil((115 + 2000) / (4404 - 115 - 2000))
-        assert old == pytest.approx(4404 * nr / (nr + 1))
-        assert eden == pytest.approx(4404 / (nr + 1) * 6 / 8)
+        assert geom.old_mb == pytest.approx(4404 * nr / (nr + 1))
+        assert geom.eden_mb == pytest.approx(4404 / (nr + 1) * 6 / 8)
 
     def test_new_ratio_inversion(self):
         for nr in range(1, 10):

@@ -1,9 +1,7 @@
 """Unit helpers."""
-import math
-
 import pytest
 
-from repro.units import GB, ceil_div, clamp, mb_str, minutes, pctile, stable_seed
+from repro.units import ceil_div, clamp, pctile, stable_seed
 
 
 class TestCeilDiv:
@@ -30,17 +28,6 @@ class TestClamp:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             clamp(1, 5, 0)
-
-
-class TestMbStr:
-    def test_mb(self):
-        assert mb_str(4404) == "4404MB"
-
-    def test_gb(self):
-        assert mb_str(2 * GB) == "2GB"
-
-    def test_minutes(self):
-        assert minutes(120) == 2.0
 
 
 class TestPctile:
