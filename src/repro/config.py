@@ -1,7 +1,8 @@
 """Memory configuration knobs (paper Table 1) and the tuning search space.
 
 A :class:`MemoryConfig` carries the five knobs every policy tunes
-(SurvivorRatio stays at the JVM default of 8 throughout, as in §6.1):
+(SurvivorRatio stays at the JVM default of 8 throughout, as in §6.1 —
+:data:`repro.simcluster.jvm.SURVIVOR_RATIO`):
 
 * ``containers_per_node`` — resource-manager level (Figure 1),
 * ``task_concurrency`` — slots per container,
@@ -17,16 +18,13 @@ Cache/Shuffle varied, the minor pool pinned at ``MINOR_POOL_CAPACITY``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .cluster import ClusterSpec
 
 #: §6.1 — NewRatio is capped at 9 so Young keeps >=10% of heap.
 NEW_RATIO_MIN = 1
 NEW_RATIO_MAX = 9
-
-#: §6.1 defaults / Table 4.
-DEFAULT_SURVIVOR_RATIO = 8
 
 #: Minor-pool capacity pinned by Exhaustive Search and BO (§6.1).
 MINOR_POOL_CAPACITY = 0.1
@@ -47,7 +45,6 @@ class MemoryConfig:
     cache_capacity: float
     shuffle_capacity: float
     new_ratio: int
-    survivor_ratio: int = DEFAULT_SURVIVOR_RATIO
 
     def __post_init__(self) -> None:
         if self.containers_per_node < 1:
@@ -62,16 +59,10 @@ class MemoryConfig:
             raise ValueError("unified pool (cache+shuffle) cannot exceed heap")
         if not NEW_RATIO_MIN <= self.new_ratio <= NEW_RATIO_MAX:
             raise ValueError(f"new_ratio must be in [1, 9], got {self.new_ratio}")
-        if self.survivor_ratio < 3:
-            raise ValueError("survivor_ratio must be >= 3 (Eden needs SR-2 > 0)")
 
     def heap_mb(self, cluster: ClusterSpec) -> float:
         """Heap per container when this config runs on ``cluster``."""
         return float(int(cluster.node_heap_mb / self.containers_per_node))
-
-    def with_(self, **kw) -> "MemoryConfig":
-        """Functional update."""
-        return replace(self, **kw)
 
     def as_row(self) -> dict:
         """Row used by the experiment tables (Table 8 column order)."""

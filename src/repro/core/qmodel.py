@@ -16,7 +16,7 @@ from __future__ import annotations
 from ..cluster import ClusterSpec
 from ..config import MemoryConfig
 from ..profiler.stats import ProfileStats
-from ..simcluster.jvm import geometry
+from ..simcluster.jvm import HeapGeometry
 from .relm import pool_demands
 
 
@@ -24,7 +24,7 @@ def q_metrics(cfg: MemoryConfig, stats: ProfileStats, cluster: ClusterSpec) -> t
     """Eq 8: (q1, q2, q3) for configuration ``cfg`` under ``stats``."""
     m_h = cfg.heap_mb(cluster)
     p = cfg.task_concurrency
-    geom = geometry(m_h, cfg.new_ratio, cfg.survivor_ratio)
+    geom = HeapGeometry(m_h, cfg.new_ratio)
 
     # Modeled requirements (Eq 1 / Eq 2 as in the Initializer).
     m_c_req, m_s_req = pool_demands(stats, m_h)

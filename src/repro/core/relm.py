@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from ..cluster import ClusterSpec, ContainerChoice
 from ..config import NEW_RATIO_MAX, NEW_RATIO_MIN, MemoryConfig
 from ..profiler.stats import ProfileStats
-from ..simcluster.jvm import geometry
+from ..simcluster.jvm import HeapGeometry
 from ..units import clamp
 
 #: Safety factor δ: fraction of memory kept unassigned (§6.1 uses 0.1).
-DEFAULT_DELTA = 0.1
+DELTA = 0.1
 #: Guard on Algorithm 1's loop (it terminates long before this; see the
 #: §4.3 analysis — iterations are linear in the degree of parallelism).
 MAX_ARBITRATION_ITERS = 200
@@ -54,7 +54,7 @@ class ArbitratedConfig:
     utility: float
     iterations: int
 
-    def to_memory_config(self, survivor_ratio: int = 8) -> MemoryConfig:
+    def to_memory_config(self) -> MemoryConfig:
         """Translate pool sizes into the Table 1 knob vector.
 
         Cache Capacity is ``m_c/m_h``; Shuffle Capacity is the *total*
@@ -69,7 +69,6 @@ class ArbitratedConfig:
             cache_capacity=round(f_c, 2),
             shuffle_capacity=round(f_s, 2),
             new_ratio=_new_ratio_from_old(self.old_mb, self.heap_mb),
-            survivor_ratio=survivor_ratio,
         )
 
 
@@ -103,14 +102,7 @@ def pool_demands(stats: ProfileStats, heap_mb: float) -> tuple[float, float]:
     return m_c, m_s
 
 
-def initialize(
-    stats: ProfileStats,
-    choice: ContainerChoice,
-    cluster: ClusterSpec,
-    *,
-    delta: float = DEFAULT_DELTA,
-    survivor_ratio: int = 8,
-) -> InitialConfig:
+def initialize(stats: ProfileStats, choice: ContainerChoice, cluster: ClusterSpec) -> InitialConfig:
     """Initializer (§4.2): optimize each pool independently.
 
     Implements Eq 1 (cache from hit ratio), Eq 2 (shuffle from spill
@@ -122,12 +114,12 @@ def initialize(
 
     # Eqs 1 and 2, capped so δ of the heap stays unassigned.
     m_c, m_s = pool_demands(stats, m_h)
-    m_c = min(m_c, (1.0 - delta) * m_h)
-    m_s = min(m_s, (1.0 - delta) * m_h)
+    m_c = min(m_c, (1.0 - DELTA) * m_h)
+    m_s = min(m_s, (1.0 - DELTA) * m_h)
 
     # Eq 3 — NewRatio sized so Old just fits the long-term pools.
     nr = _new_ratio_from_old(stats.code_mb + m_c, m_h)
-    geom = geometry(m_h, nr, survivor_ratio)
+    geom = HeapGeometry(m_h, nr)
 
     # Eq 4 — concurrency bounded by each resource, linear model. The
     # paper's formula divides node utilization by P alone because its
@@ -137,9 +129,9 @@ def initialize(
     tasks_per_node = stats.containers_per_node * stats.task_concurrency
     per_task_cpu = stats.cpu_avg_pct / tasks_per_node
     per_task_disk = stats.disk_avg_pct / tasks_per_node
-    p_cpu = (1.0 / n) * (1.0 - delta) * 100.0 / max(1e-6, per_task_cpu)
-    p_disk = (1.0 / n) * (1.0 - delta) * 100.0 / max(1e-6, per_task_disk)
-    p_mem = (1.0 - delta) * m_h / max(1e-6, stats.unmanaged_task_mb)
+    p_cpu = (1.0 / n) * (1.0 - DELTA) * 100.0 / max(1e-6, per_task_cpu)
+    p_disk = (1.0 / n) * (1.0 - DELTA) * 100.0 / max(1e-6, per_task_disk)
+    p_mem = (1.0 - DELTA) * m_h / max(1e-6, stats.unmanaged_task_mb)
     p = int(min(p_cpu, p_disk, p_mem, cluster.max_task_concurrency(n)))
     p = max(1, p)
 
@@ -155,13 +147,7 @@ def initialize(
     )
 
 
-def arbitrate(
-    init: InitialConfig,
-    stats: ProfileStats,
-    *,
-    delta: float = DEFAULT_DELTA,
-    survivor_ratio: int = 8,
-) -> ArbitratedConfig | None:
+def arbitrate(init: InitialConfig, stats: ProfileStats) -> ArbitratedConfig | None:
     """Arbitrator (Algorithm 1). Returns ``None`` when the container is
     too small to run even a single task (Line 1's insufficiency check).
     """
@@ -169,7 +155,7 @@ def arbitrate(
     m_i, m_u = stats.code_mb, stats.unmanaged_task_mb
 
     # Line 1: bare minimum — one task must fit.
-    if (m_i + m_u) > (1.0 - delta) * m_h:
+    if (m_i + m_u) > (1.0 - DELTA) * m_h:
         return None
 
     p = init.task_concurrency
@@ -198,16 +184,16 @@ def arbitrate(
             if m_c - m_u > 0:
                 m_c -= m_u
                 nr = _new_ratio_from_old(m_i + m_c, m_h)
-                geom = geometry(m_h, nr, survivor_ratio)
+                geom = HeapGeometry(m_h, nr)
                 old, eden = geom.old_mb, geom.eden_mb
         else:
             # III. Grow Old by M_u (trade GC overhead for safety, Obs 6).
-            if old + m_u < (1.0 - delta) * m_h:
+            if old + m_u < (1.0 - DELTA) * m_h:
                 old += m_u
                 nr = _new_ratio_from_old(old, m_h)
-                eden = geometry(m_h, nr, survivor_ratio).eden_mb
+                eden = HeapGeometry(m_h, nr).eden_mb
         # If every action is exhausted, the loop cannot progress.
-        if p == 1 and m_c - m_u <= 0 and old + m_u >= (1.0 - delta) * m_h:
+        if p == 1 and m_c - m_u <= 0 and old + m_u >= (1.0 - DELTA) * m_h:
             if (m_i + p * m_u + m_c) > old:
                 return None
 
@@ -230,10 +216,7 @@ def arbitrate(
 
 
 def relm_recommend(
-    stats: ProfileStats,
-    cluster: ClusterSpec,
-    *,
-    delta: float = DEFAULT_DELTA,
+    stats: ProfileStats, cluster: ClusterSpec
 ) -> tuple[MemoryConfig, ArbitratedConfig, list[ArbitratedConfig]]:
     """Enumerate container sizes, arbitrate each, pick the max-utility one.
 
@@ -243,8 +226,7 @@ def relm_recommend(
     """
     candidates: list[ArbitratedConfig] = []
     for choice in cluster.container_choices():
-        init = initialize(stats, choice, cluster, delta=delta)
-        arb = arbitrate(init, stats, delta=delta)
+        arb = arbitrate(initialize(stats, choice, cluster), stats)
         if arb is not None:
             candidates.append(arb)
     if not candidates:

@@ -1,6 +1,7 @@
 """Shared experiment plumbing: default configs, profiles, thresholds."""
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 
 from ..cluster import CLUSTER_A, ClusterSpec, cluster_by_name
@@ -20,7 +21,7 @@ def default_config(name: str, cluster: ClusterSpec = CLUSTER_A) -> MemoryConfig:
     """
     cfg = max_resource_allocation(cluster)
     if name == "PageRank":
-        cfg = cfg.with_(cache_capacity=0.6, shuffle_capacity=0.0)
+        cfg = replace(cfg, cache_capacity=0.6, shuffle_capacity=0.0)
     return cfg
 
 

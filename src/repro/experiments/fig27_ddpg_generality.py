@@ -9,8 +9,6 @@ the pre-trained agent adapts quickly to the hardware change.
 from __future__ import annotations
 
 from ..cluster import CLUSTER_A, CLUSTER_B
-from ..config import max_resource_allocation
-from ..profiler import generate_stats, profile_with_full_gc
 from ..tuners.base import ConfigSpace, Objective
 from ..tuners.ddpg import ddpg_tune
 from ..workloads import dominant_pool, workload_model
@@ -25,11 +23,8 @@ def run(seed: int = 0) -> Table:
     model = workload_model(name)
     dp = dominant_pool(name)
     stats_a = profiled_stats(name, "A", seed)
-
-    # Cluster-B profile/stats (same workload, bigger nodes).
-    dflt_b = max_resource_allocation(CLUSTER_B)
-    prof_b, _ = profile_with_full_gc(model, dflt_b, CLUSTER_B, seed=seed)
-    stats_b = generate_stats(prof_b)
+    stats_b = profiled_stats(name, "B", seed)
+    dflt_b = default_config(name, CLUSTER_B)
 
     # Train on A (full session), reuse on B with 5 samples.
     space_a = ConfigSpace(CLUSTER_A, dp)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from ..cluster import CLUSTER_A
 from ..config import max_resource_allocation, unified_pool_fraction
+from ..simcluster.jvm import SURVIVOR_RATIO
 from .tables import Table
 
 #: The paper's Table 4 values.
@@ -25,7 +26,7 @@ def run() -> Table:
         "Task Concurrency": str(cfg.task_concurrency),
         "Cache Capacity + Shuffle Capacity": f"{unified_pool_fraction(cfg):g}",
         "NewRatio": str(cfg.new_ratio),
-        "SurvivorRatio": str(cfg.survivor_ratio),
+        "SurvivorRatio": str(SURVIVOR_RATIO),
     }
     t = Table(
         title="Table 4 — MaxResourceAllocation + framework defaults (Cluster A)",

@@ -15,13 +15,17 @@ Implements §4.1 faithfully:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..cluster import ClusterSpec
 from ..config import NEW_RATIO_MAX, MemoryConfig
 from ..simcluster.profile_gen import AppProfile, profile_app
 from ..units import pctile
 from ..workloads.base import WorkloadModel
+
+#: Profiling runs :func:`profile_with_full_gc` makes before it settles
+#: for a profile without full GC events.
+MAX_PROFILE_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,6 @@ def profile_with_full_gc(
     cluster: ClusterSpec,
     *,
     seed: int = 0,
-    max_attempts: int = 3,
 ) -> tuple[AppProfile, int]:
     """Profile ``model``; re-profile with GC-pressure heuristics if needed.
 
@@ -117,14 +120,15 @@ def profile_with_full_gc(
     attempts = 0
     current = cfg
     profile = None
-    while attempts < max_attempts:
+    while attempts < MAX_PROFILE_ATTEMPTS:
         attempts += 1
         profile = profile_app(model, current, cluster, seed=seed + attempts)
         if profile.has_full_gc:
             return profile, attempts
         n = min(cluster.max_containers_per_node, current.containers_per_node * 2)
         p = min(cluster.max_task_concurrency(n), current.task_concurrency + 1)
-        current = current.with_(
+        current = replace(
+            current,
             containers_per_node=n,
             task_concurrency=p,
             new_ratio=min(NEW_RATIO_MAX, current.new_ratio + 2),

@@ -9,14 +9,13 @@ manager RSS kill) — and produces the observables every tuning policy
 consumes: runtime, container failures, GC overhead, cache hit ratio and
 spill fraction.
 """
-from .jvm import HeapGeometry, geometry
+from .jvm import HeapGeometry
 from .memory import MemoryLayout, layout
 from .gc_model import GcBreakdown, gc_overhead
 from .runtime import SimulatedRun, simulate
 
 __all__ = [
     "HeapGeometry",
-    "geometry",
     "MemoryLayout",
     "layout",
     "GcBreakdown",

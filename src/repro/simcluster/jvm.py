@@ -14,6 +14,9 @@ from dataclasses import dataclass
 #: Heap fraction reserved for the JVM's own objects (paper Fig 3 shows a
 #: reserved slice next to the survivor space).
 JVM_RESERVED_FRAC = 0.02
+#: SurvivorRatio, fixed at the ParallelGC default in every experiment
+#: (§6.1, Table 4).
+SURVIVOR_RATIO = 8
 
 
 @dataclass(frozen=True)
@@ -22,15 +25,12 @@ class HeapGeometry:
 
     heap_mb: float
     new_ratio: int
-    survivor_ratio: int
 
     def __post_init__(self) -> None:
         if self.heap_mb <= 0:
             raise ValueError("heap_mb must be positive")
         if self.new_ratio < 1:
             raise ValueError("new_ratio must be >= 1")
-        if self.survivor_ratio < 3:
-            raise ValueError("survivor_ratio must be >= 3")
 
     @property
     def young_mb(self) -> float:
@@ -45,12 +45,12 @@ class HeapGeometry:
     @property
     def eden_mb(self) -> float:
         """Eden capacity: young · (SR − 2) / SR (paper Eq 3)."""
-        return self.young_mb * (self.survivor_ratio - 2) / self.survivor_ratio
+        return self.young_mb * (SURVIVOR_RATIO - 2) / SURVIVOR_RATIO
 
     @property
     def survivor_mb(self) -> float:
         """One survivor space: young / SR."""
-        return self.young_mb / self.survivor_ratio
+        return self.young_mb / SURVIVOR_RATIO
 
     @property
     def usable_mb(self) -> float:
@@ -62,7 +62,3 @@ class HeapGeometry:
         """
         return self.heap_mb - 2 * self.survivor_mb - JVM_RESERVED_FRAC * self.heap_mb
 
-
-def geometry(heap_mb: float, new_ratio: int, survivor_ratio: int = 8) -> HeapGeometry:
-    """Build the pool geometry for one container."""
-    return HeapGeometry(heap_mb=heap_mb, new_ratio=new_ratio, survivor_ratio=survivor_ratio)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from ..cluster import ClusterSpec
 from ..config import MemoryConfig
 from ..workloads.base import WorkloadModel
-from .jvm import HeapGeometry, geometry
+from .jvm import HeapGeometry
 
 #: RSS model: off-heap NIO buffers pin ``net_task_mb`` bytes per task for
 #: roughly one young-GC period; larger Eden (low NewRatio) → less
@@ -71,7 +71,7 @@ def layout(model: WorkloadModel, cfg: MemoryConfig, cluster: ClusterSpec) -> Mem
     n = cfg.containers_per_node
     p = cfg.task_concurrency
     heap = cfg.heap_mb(cluster)
-    geom = geometry(heap, cfg.new_ratio, cfg.survivor_ratio)
+    geom = HeapGeometry(heap, cfg.new_ratio)
     containers = cluster.nodes * n
 
     # --- Cache Storage (Eq 1 territory): bounded by the configured

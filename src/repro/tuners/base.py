@@ -152,22 +152,19 @@ class ConfigSpace:
 
 @dataclass
 class Objective:
-    """Runs configurations through the cluster simulator and scores them.
-
-    ``penalized=True`` applies the §6.1 abort rule: an aborted run's
-    objective is twice the worst (penalized) objective observed so far.
-    """
+    """Runs configurations through the cluster simulator and scores them
+    by the §6.1 abort rule: an aborted run's objective is twice the worst
+    runtime observed so far."""
 
     model: WorkloadModel
     cluster: ClusterSpec
     seed: int = 0
-    penalized: bool = True
     history: list[Sample] = field(default_factory=list)
 
     def __call__(self, cfg: MemoryConfig) -> Sample:
         run = simulate(self.model, cfg, self.cluster, seed=self.seed)
         obj = run.runtime_sec
-        if self.penalized and run.aborted:
+        if run.aborted:
             # §6.1: "the objective value for the sample is set to twice
             # the worst runtime obtained on the samples explored so far"
             # — worst *runtime*, not worst penalized objective, so

@@ -45,16 +45,6 @@ N_NEIGHBORS = 40
 NEIGHBOR_STEP = 0.08
 
 
-def _dedupe(configs: list[MemoryConfig]) -> list[MemoryConfig]:
-    seen, out = set(), []
-    for c in configs:
-        key = tuple(c.as_row().values())
-        if key not in seen:
-            seen.add(key)
-            out.append(c)
-    return out
-
-
 def bayesian_optimize(
     objective: Objective,
     space: ConfigSpace,
@@ -109,7 +99,7 @@ def bayesian_optimize(
         inc = space.encode(objective.best().config)
         for _ in range(N_NEIGHBORS):
             cands.append(space.decode(inc + rng.normal(0.0, NEIGHBOR_STEP, space.dim)))
-        cands = _dedupe(cands)
+        cands = list(dict.fromkeys(cands))
         xq = np.array([feats(c) for c in cands])
         tau = float(min(y))
         ei = expected_improvement(model, xq, tau)  # works for any Surrogate
@@ -117,11 +107,11 @@ def bayesian_optimize(
         probe_sec += time.perf_counter() - t0
 
         # Probe the best not-yet-observed candidate.
-        observed = {tuple(s.config.as_row().values()) for s in objective.history}
+        observed = {s.config for s in objective.history}
         pick: MemoryConfig | None = None
         pick_ei = 0.0
         for i in order:
-            if tuple(cands[i].as_row().values()) not in observed:
+            if cands[i] not in observed:
                 pick, pick_ei = cands[i], float(ei[i])
                 break
         if pick is None:

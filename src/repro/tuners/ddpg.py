@@ -28,6 +28,7 @@ from ..config import MemoryConfig
 from ..core.qmodel import q_metrics
 from ..profiler.stats import ProfileStats
 from .base import ConfigSpace, Objective, Sample, TuningResult
+from .gbo import Q_CLIP
 
 STATE_DIM = 8
 HIDDEN = 32
@@ -129,21 +130,16 @@ def cdbtune_reward(runtime0: float, runtime_prev: float, runtime_t: float) -> fl
 
 def state_vector(sample: Sample, stats: ProfileStats, cluster: ClusterSpec) -> np.ndarray:
     """CDBTune-style resource-metric state, plus Q-model pool metrics."""
-    q1, q2, q3 = q_metrics(sample.config, stats, cluster)
+    q = np.clip(q_metrics(sample.config, stats, cluster), 0.0, Q_CLIP) / Q_CLIP
     r = sample.run
-    return np.array(
-        [
-            r.cpu_avg_pct / 100.0,
-            r.disk_avg_pct / 100.0,
-            r.cache_hit_ratio,
-            r.spill_fraction,
-            r.gc_overhead,
-            min(q1, 4.0) / 4.0,
-            min(q2, 4.0) / 4.0,
-            min(q3, 4.0) / 4.0,
-        ],
-        dtype=float,
-    )
+    usage = [
+        r.cpu_avg_pct / 100.0,
+        r.disk_avg_pct / 100.0,
+        r.cache_hit_ratio,
+        r.spill_fraction,
+        r.gc_overhead,
+    ]
+    return np.concatenate([usage, q])
 
 
 @dataclass

@@ -37,22 +37,14 @@ def guided_bayesian_optimize(
     objective: Objective,
     space: ConfigSpace,
     stats: ProfileStats,
-    *,
-    seed: int = 0,
-    bootstrap: list[MemoryConfig] | None = None,
-    surrogate_fit=None,
-    max_iters: int = 30,
-    target_runtime_sec: float | None = None,
+    **kw,
 ) -> TuningResult:
-    """Run GBO: the BO loop over the augmented feature space."""
+    """Run GBO: the BO loop over the augmented feature space; ``kw`` are
+    :func:`~repro.tuners.bo.bayesian_optimize`'s keywords."""
     return bayesian_optimize(
         objective,
         space,
-        seed=seed,
         feature_fn=gbo_features(space, stats, objective.cluster),
-        bootstrap=bootstrap,
-        surrogate_fit=surrogate_fit,
-        max_iters=max_iters,
-        target_runtime_sec=target_runtime_sec,
         policy_name="GBO",
+        **kw,
     )

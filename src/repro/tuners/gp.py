@@ -47,7 +47,7 @@ class GaussianProcess:
     _alpha: np.ndarray
 
     @classmethod
-    def fit(cls, x: np.ndarray, y: np.ndarray, *, noise_var: float = NOISE_VAR) -> "GaussianProcess":
+    def fit(cls, x: np.ndarray, y: np.ndarray) -> "GaussianProcess":
         """Fit a GP to (x, y); lengthscale picked by marginal likelihood."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
@@ -64,7 +64,7 @@ class GaussianProcess:
 
         best = None
         for ls in LENGTHSCALE_GRID:
-            k = _rbf(x, x, ls) + (noise_var + JITTER) * np.eye(len(x))
+            k = _rbf(x, x, ls) + (NOISE_VAR + JITTER) * np.eye(len(x))
             try:
                 chol = np.linalg.cholesky(k)
             except np.linalg.LinAlgError:

@@ -72,14 +72,14 @@ class RandomForest:
     trees: list[_Node]
 
     @classmethod
-    def fit(cls, x: np.ndarray, y: np.ndarray, *, seed: int = 0, n_trees: int = N_TREES) -> "RandomForest":
+    def fit(cls, x: np.ndarray, y: np.ndarray, *, seed: int = 0) -> "RandomForest":
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
         if len(x) != len(y):
             raise ValueError("x/y length mismatch")
         rng = np.random.default_rng(seed)
         trees = []
-        for _ in range(n_trees):
+        for _ in range(N_TREES):
             idx = rng.integers(0, len(y), len(y))  # bootstrap sample
             trees.append(_build(x[idx], y[idx], rng, depth=0))
         return cls(trees=trees)

@@ -22,7 +22,7 @@ nondeterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..units import ceil_div
 
@@ -90,9 +90,6 @@ class WorkloadModel:
     def uses_cache(self) -> bool:
         return self.cache_mb > 0
 
-    def with_(self, **kw) -> "WorkloadModel":
-        return replace(self, **kw)
-
 
 @dataclass(frozen=True)
 class MeasuredProfile:
@@ -112,6 +109,8 @@ class MeasuredProfile:
 #: vectorized Arrow paths. Measured once by timing the WordCount job
 #: here vs the paper's per-core throughput implied by Figure 4.
 HOST_TO_CLUSTER_A_CPU = 6.0
+#: Cores of the host the measurements ran on.
+HOST_CORES = 16
 
 
 def scale_measurement(
@@ -119,7 +118,6 @@ def scale_measurement(
     *,
     target_input_mb: float,
     partition_mb: float,
-    host_cores: int = 16,
 ) -> dict:
     """Extrapolate a small-SF measurement to paper scale.
 
@@ -131,9 +129,9 @@ def scale_measurement(
     if m.input_mb <= 0 or m.wall_sec <= 0:
         raise ValueError("measurement must have positive input and wall time")
     scale = target_input_mb / m.input_mb
-    # Host wall time is ~fully parallel across host_cores; convert to
+    # Host wall time is ~fully parallel across HOST_CORES; convert to
     # single-slot CPU seconds per partition on a Cluster A core.
-    cpu_sec_total_host = m.wall_sec * host_cores
+    cpu_sec_total_host = m.wall_sec * HOST_CORES
     cpu_sec_total_a = cpu_sec_total_host * HOST_TO_CLUSTER_A_CPU * scale
     n_partitions = ceil_div(int(target_input_mb), int(partition_mb))
     return {

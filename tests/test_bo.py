@@ -35,7 +35,7 @@ class TestObjective:
         obj = Objective(workload_model("PageRank"), CLUSTER_A)
         bad_cfg = MemoryConfig(1, 2, 0.6, 0.0, 2)
         first = obj(bad_cfg)
-        second = obj(bad_cfg.with_(new_ratio=3))
+        second = obj(replace(bad_cfg, new_ratio=3))
         # Both penalties stay within 2x of the worst *runtime*.
         worst = max(s.runtime_sec for s in obj.history)
         assert second.objective <= 2.0 * worst + 1e-6
@@ -46,6 +46,16 @@ class TestObjective:
         obj(MemoryConfig(1, 2, 0.6, 0.0, 2))  # aborted
         clean = obj(MemoryConfig(2, 1, 0.4, 0.0, 3))
         assert obj.best().config == clean.config
+
+    def test_all_aborted_falls_back_to_lowest_objective(self):
+        obj = Objective(workload_model("PageRank"), CLUSTER_A)
+        probes = [(1, 2, 0.6, 0.0, 2), (1, 4, 0.6, 0.0, 2), (1, 8, 0.8, 0.0, 1)]
+        samples = [obj(MemoryConfig(*k)) for k in probes]
+        assert all(s.aborted for s in samples)
+        best = min(samples, key=lambda s: s.objective)
+        assert obj.best() is best
+        res = obj.result("X")
+        assert (res.best_config, res.best_runtime_sec) == (best.config, best.runtime_sec)
 
     def test_result_is_best_plus_history(self):
         obj = Objective(workload_model("PageRank"), CLUSTER_A)

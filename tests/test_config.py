@@ -1,4 +1,6 @@
 """MemoryConfig validation, defaults (Table 4), and the §6.1 grid."""
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import CLUSTER_A, CLUSTER_B
@@ -27,7 +29,6 @@ class TestMemoryConfigValidation:
             dict(shuffle_capacity=1.2),
             dict(new_ratio=0),
             dict(new_ratio=10),
-            dict(survivor_ratio=2),
         ],
     )
     def test_rejects_bad_values(self, kw):
@@ -50,7 +51,7 @@ class TestMemoryConfigValidation:
 
     def test_with_updates(self):
         cfg = MemoryConfig(1, 2, 0.4, 0.2, 2)
-        assert cfg.with_(task_concurrency=4).task_concurrency == 4
+        assert replace(cfg, task_concurrency=4).task_concurrency == 4
         assert cfg.task_concurrency == 2  # frozen original
 
     def test_as_row_keys(self):
@@ -68,7 +69,6 @@ class TestDefaults:
         assert cfg.task_concurrency == 2
         assert unified_pool_fraction(cfg) == pytest.approx(0.6)
         assert cfg.new_ratio == 2
-        assert cfg.survivor_ratio == 8
         assert cfg.heap_mb(CLUSTER_A) == 4404
 
 

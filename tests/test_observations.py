@@ -5,6 +5,8 @@ depend on. These pin the simulator's calibration: if a future change
 breaks a qualitative finding the paper established on real hardware,
 these fail.
 """
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import CLUSTER_A
@@ -126,7 +128,7 @@ class TestObservation6:
     def test_high_new_ratio_prevents_rss_kills(self):
         # Figure 11: a workload with heavy off-heap network buffers gets
         # its physical memory collected under high NewRatio.
-        hungry = workload_model("PageRank").with_(net_task_mb=900.0)
+        hungry = replace(workload_model("PageRank"), net_task_mb=900.0)
         low = simulate(hungry, MemoryConfig(1, 2, 0.3, 0.0, 2), CLUSTER_A)
         high = simulate(hungry, MemoryConfig(1, 2, 0.3, 0.0, 8), CLUSTER_A)
         assert low.layout.rss_overrun_mb > 0

@@ -10,7 +10,7 @@ from repro.core import arbitrate, initialize, relm_recommend
 from repro.core.relm import _new_ratio_from_old
 from repro.profiler.stats import ProfileStats
 from repro.simcluster import simulate
-from repro.simcluster.jvm import geometry
+from repro.simcluster.jvm import HeapGeometry
 from repro.workloads import SUITE, workload_model
 from repro.experiments.common import default_config, profiled_stats
 
@@ -76,7 +76,7 @@ class TestInitializerEquations:
     def test_gc_pools_eq3(self):
         # Eq 3: NewRatio sized so Old holds code + cache.
         nr = _new_ratio_from_old(115 + 2000, 4404)
-        geom = geometry(4404, nr, 8)
+        geom = HeapGeometry(4404, nr)
         assert nr == math.ceil((115 + 2000) / (4404 - 115 - 2000))
         assert geom.old_mb == pytest.approx(4404 * nr / (nr + 1))
         assert geom.eden_mb == pytest.approx(4404 / (nr + 1) * 6 / 8)

@@ -1,9 +1,12 @@
 """Statistics Generator (§4.1, Table 6)."""
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import CLUSTER_A
 from repro.config import MemoryConfig, max_resource_allocation
 from repro.profiler import generate_stats, profile_with_full_gc
+from repro.profiler.stats import MAX_PROFILE_ATTEMPTS
 from repro.simcluster.profile_gen import profile_app
 from repro.workloads import SUITE, workload_model
 
@@ -88,6 +91,18 @@ class TestReprofilingHeuristics:
         )
         assert attempts == 1
         assert profile.has_full_gc
+
+    def test_gives_up_after_max_attempts(self):
+        # A footprint too small to ever fill Old: every heuristic step is
+        # spent, and the Statistics Generator falls back to Old occupancy.
+        model = replace(workload_model("WordCount"), unmanaged_task_mb=5.0, shuffle_task_mb=2.0)
+        profile, attempts = profile_with_full_gc(model, max_resource_allocation(CLUSTER_A), CLUSTER_A)
+        assert attempts == MAX_PROFILE_ATTEMPTS == 3
+        assert not profile.has_full_gc
+        assert profile.config == MemoryConfig(4, 2, 0.4, 0.2, 6)
+        st = generate_stats(profile)
+        assert not st.from_full_gc
+        assert st.unmanaged_task_mb > model.unmanaged_task_mb
 
     @pytest.mark.parametrize("name", SUITE)
     def test_all_workloads_eventually_profiled(self, name):

@@ -6,6 +6,8 @@ within a generous band of the live measurement — keeping the simulator
 models tied to genuinely executed Spark jobs without making the
 experiment tables depend on wall-clock noise.
 """
+from dataclasses import replace
+
 import pytest
 
 from repro.workloads import workload_module
@@ -49,11 +51,11 @@ class TestModelValidation:
     def test_rejects_bad_fields(self):
         good = workload_module("WordCount").MODEL
         with pytest.raises(ValueError):
-            good.with_(input_mb=0)
+            replace(good, input_mb=0)
         with pytest.raises(ValueError):
-            good.with_(tenured_frac=1.5)
+            replace(good, tenured_frac=1.5)
         with pytest.raises(ValueError):
-            good.with_(iterations=-1)
+            replace(good, iterations=-1)
 
     def test_partition_count(self):
         assert workload_module("WordCount").MODEL.n_partitions == 400
