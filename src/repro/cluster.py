@@ -20,9 +20,6 @@ class ContainerChoice:
     containers_per_node: int
     heap_mb: float
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"({self.containers_per_node}, {int(self.heap_mb)}MB)"
-
 
 @dataclass(frozen=True)
 class ClusterSpec:
@@ -49,6 +46,10 @@ class ClusterSpec:
         """Physical memory cap for all containers on a node (~92% of RAM)."""
         return self.node_mem_mb * 0.92
 
+    def heap_mb(self, containers_per_node: int) -> float:
+        """JVM heap of each of ``containers_per_node`` equal containers."""
+        return float(int(self.node_heap_mb / containers_per_node))
+
     def container_choices(self) -> list[ContainerChoice]:
         """Enumerate (containers per node, heap size) pairs — §4 Example.
 
@@ -56,7 +57,7 @@ class ClusterSpec:
         (4, 1101MB).
         """
         return [
-            ContainerChoice(n, float(int(self.node_heap_mb / n)))
+            ContainerChoice(n, self.heap_mb(n))
             for n in range(1, self.max_containers_per_node + 1)
         ]
 

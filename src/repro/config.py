@@ -60,10 +60,6 @@ class MemoryConfig:
         if not NEW_RATIO_MIN <= self.new_ratio <= NEW_RATIO_MAX:
             raise ValueError(f"new_ratio must be in [1, 9], got {self.new_ratio}")
 
-    def heap_mb(self, cluster: ClusterSpec) -> float:
-        """Heap per container when this config runs on ``cluster``."""
-        return float(int(cluster.node_heap_mb / self.containers_per_node))
-
     def as_row(self) -> dict:
         """Row used by the experiment tables (Table 8 column order)."""
         return {
@@ -90,9 +86,3 @@ def max_resource_allocation(cluster: ClusterSpec) -> MemoryConfig:
         shuffle_capacity=0.2,
         new_ratio=2,
     )
-
-
-def unified_pool_fraction(cfg: MemoryConfig) -> float:
-    """Spark's unified memory pool = Cache Capacity + Shuffle Capacity (§6.1)."""
-    return cfg.cache_capacity + cfg.shuffle_capacity
-

@@ -22,7 +22,7 @@ from .relm import pool_demands
 
 def q_metrics(cfg: MemoryConfig, stats: ProfileStats, cluster: ClusterSpec) -> tuple[float, float, float]:
     """Eq 8: (q1, q2, q3) for configuration ``cfg`` under ``stats``."""
-    m_h = cfg.heap_mb(cluster)
+    m_h = cluster.heap_mb(cfg.containers_per_node)
     p = cfg.task_concurrency
     geom = HeapGeometry(m_h, cfg.new_ratio)
 

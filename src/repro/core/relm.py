@@ -40,17 +40,9 @@ class InitialConfig:
 
 
 @dataclass(frozen=True)
-class ArbitratedConfig:
-    """Arbitrator output (Algorithm 1): a safe configuration + utility."""
+class ArbitratedConfig(InitialConfig):
+    """Arbitrator output (Algorithm 1): the pools made safe + utility."""
 
-    heap_mb: float
-    containers_per_node: int
-    cache_mb: float
-    shuffle_task_mb: float
-    task_concurrency: int
-    new_ratio: int
-    old_mb: float
-    eden_mb: float
     utility: float
     iterations: int
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster import CLUSTER_A
-from ..core import relm_recommend
 from ..simcluster import simulate
 from ..tuners.base import ConfigSpace, Objective
 from ..tuners.bo import bayesian_optimize
@@ -58,7 +57,6 @@ def train_to_top5(
     if policy == "RelM":
         # One profiling run (the default config) is the whole cost.
         run = simulate(model, default_config(name), CLUSTER_A, seed=seed)
-        relm_recommend(stats, CLUSTER_A)
         return run.runtime_sec, 1
     if policy == "DDPG":
         res, _ = ddpg_tune(

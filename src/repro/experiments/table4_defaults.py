@@ -3,7 +3,7 @@ framework defaults on Cluster A."""
 from __future__ import annotations
 
 from ..cluster import CLUSTER_A
-from ..config import max_resource_allocation, unified_pool_fraction
+from ..config import max_resource_allocation
 from ..simcluster.jvm import SURVIVOR_RATIO
 from .tables import Table
 
@@ -22,9 +22,9 @@ def run() -> Table:
     cfg = max_resource_allocation(CLUSTER_A)
     ours = {
         "Containers per Node": str(cfg.containers_per_node),
-        "Heap Size": f"{cfg.heap_mb(CLUSTER_A):.0f}MB",
+        "Heap Size": f"{CLUSTER_A.heap_mb(cfg.containers_per_node):.0f}MB",
         "Task Concurrency": str(cfg.task_concurrency),
-        "Cache Capacity + Shuffle Capacity": f"{unified_pool_fraction(cfg):g}",
+        "Cache Capacity + Shuffle Capacity": f"{cfg.cache_capacity + cfg.shuffle_capacity:g}",
         "NewRatio": str(cfg.new_ratio),
         "SurvivorRatio": str(SURVIVOR_RATIO),
     }

@@ -53,7 +53,7 @@ def run(seed: int = 0) -> Table:
             paper_runtime=f"{p_rt}{' (aborted)' if p_ab else ''}",
             runtime=f"{r.runtime_min:.0f}{' (aborted)' if r.aborted else ''}",
             paper_hit_ratio=f"{p_h:.2f}",
-            hit_ratio=f"{r.cache_hit_ratio:.2f}",
+            hit_ratio=f"{r.layout.cache_hit_ratio:.2f}",
             paper_gc=f"{p_gc:.2f}",
             gc=f"{r.gc_overhead:.2f}",
         )

@@ -11,7 +11,7 @@ import numpy as np
 from ..cluster import CLUSTER_A
 from ..tuners.base import ConfigSpace
 from ..tuners.lhs import latin_hypercube, lhs_configs, paper_table7_samples
-from .tables import Table
+from .tables import CACHE_GRID_KNOBS, Table, config_str
 
 
 def strata_covered(points: np.ndarray) -> bool:
@@ -37,14 +37,11 @@ def run(seed: int = 0) -> Table:
         ],
     )
     for i, (pc, oc) in enumerate(zip(paper, ours)):
-        pr, orow = pc.as_row(), oc.as_row()
         t.add(
             sample=str(i),
             **{
-                "paper (n, p, pool, NR)": f"({pr['containers_per_node']}, {pr['task_concurrency']}, "
-                f"{pr['cache_capacity']:g}, {pr['new_ratio']})",
-                "our draw (n, p, pool, NR)": f"({orow['containers_per_node']}, {orow['task_concurrency']}, "
-                f"{orow['cache_capacity']:g}, {orow['new_ratio']})",
+                "paper (n, p, pool, NR)": config_str(pc, CACHE_GRID_KNOBS),
+                "our draw (n, p, pool, NR)": config_str(oc, CACHE_GRID_KNOBS),
             },
         )
     return t

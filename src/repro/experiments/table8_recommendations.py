@@ -7,12 +7,9 @@ after 10 new samples; RelM recommends from a single (re-)profiled run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..cluster import CLUSTER_A
-from ..config import MemoryConfig
 from ..core import relm_recommend
-from ..simcluster import simulate
+from ..simcluster import SimulatedRun, simulate
 from ..tuners.base import ConfigSpace, Objective
 from ..tuners.bo import bayesian_optimize
 from ..tuners.ddpg import ddpg_tune
@@ -65,59 +62,33 @@ PAPER = {
 POLICIES = ("Exhaustive", "DDPG", "BO", "GBO", "RelM")
 
 
-@dataclass(frozen=True)
-class Recommendation:
-    policy: str
-    config: MemoryConfig
-    runtime_sec: float
-    aborted: bool
-    failed_containers: int
-    iterations: int
-
-
-def recommend_all(name: str, *, seed: int = 0) -> dict[str, Recommendation]:
-    """Run all five policies on one workload; deterministic in ``seed``."""
+def recommend_all(name: str, *, seed: int = 0) -> dict[str, SimulatedRun]:
+    """Run all five policies on one workload and simulate each policy's
+    recommendation; deterministic in ``seed``."""
     model = workload_model(name)
     dp = dominant_pool(name)
     space = ConfigSpace(CLUSTER_A, dp)
     stats = profiled_stats(name, "A", seed)
     dflt = default_config(name)
-    out: dict[str, Recommendation] = {}
-
-    def record(policy: str, cfg: MemoryConfig, iters: int) -> None:
-        r = simulate(model, cfg, CLUSTER_A, seed=seed)
-        out[policy] = Recommendation(
-            policy=policy,
-            config=cfg,
-            runtime_sec=r.runtime_sec,
-            aborted=r.aborted,
-            failed_containers=r.failed_containers,
-            iterations=iters,
-        )
 
     ex = exhaustive_search(Objective(model, CLUSTER_A, seed=seed), dominant_pool=dp)
-    record("Exhaustive", ex.best_config, ex.iterations)
-
     dd, _ = ddpg_tune(
         Objective(model, CLUSTER_A, seed=seed), space, stats, dflt, seed=seed, max_steps=10
     )
-    record("DDPG", dd.best_config, dd.iterations)
-
     bo = bayesian_optimize(
         Objective(model, CLUSTER_A, seed=seed), space, seed=seed,
         bootstrap=paper_table7_samples(space),
     )
-    record("BO", bo.best_config, bo.iterations)
-
     gbo = guided_bayesian_optimize(
         Objective(model, CLUSTER_A, seed=seed), space, stats, seed=seed,
         bootstrap=paper_table7_samples(space),
     )
-    record("GBO", gbo.best_config, gbo.iterations)
-
-    cfg, _, _ = relm_recommend(stats, CLUSTER_A)
-    record("RelM", cfg, 1)
-    return out
+    relm, _, _ = relm_recommend(stats, CLUSTER_A)
+    configs = (ex.best_config, dd.best_config, bo.best_config, gbo.best_config, relm)
+    return {
+        policy: simulate(model, cfg, CLUSTER_A, seed=seed)
+        for policy, cfg in zip(POLICIES, configs)
+    }
 
 
 def run(seed: int = 0) -> Table:

@@ -13,7 +13,7 @@ from ..tuners.base import ConfigSpace, Objective
 from ..tuners.bo import bayesian_optimize
 from ..tuners.lhs import paper_table7_samples
 from ..workloads import dominant_pool, workload_model
-from .tables import Table
+from .tables import CACHE_GRID_KNOBS, Table, config_str
 
 #: Paper Table 9 rows: (sample #, n, p, cache, NR, runtime minutes).
 PAPER = [
@@ -45,11 +45,6 @@ def run(seed: int = 0) -> Table:
     )
     for i, s in enumerate(result.samples):
         num = 0 if i < 4 else i - 3
-        r = s.config.as_row()
-        ours = (
-            f"({r['containers_per_node']}, {r['task_concurrency']}, "
-            f"{r['cache_capacity']:g}, {r['new_ratio']})"
-        )
         if i < len(PAPER):
             pn, a, b, c, d, prt = PAPER[i]
             paper_cfg, paper_rt = f"({a}, {b}, {c:g}, {d})", f"{prt:.1f}"
@@ -58,7 +53,7 @@ def run(seed: int = 0) -> Table:
         t.add(
             **{
                 "sample #": str(num),
-                "config (n, p, cache, NR)": ours,
+                "config (n, p, cache, NR)": config_str(s.config, CACHE_GRID_KNOBS),
                 "runtime (min)": f"{s.runtime_sec / 60:.1f}" + (" (aborted)" if s.aborted else ""),
                 "paper config": paper_cfg,
                 "paper runtime (min)": paper_rt,

@@ -41,10 +41,13 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def config_str(cfg) -> str:
-    """Compact (n, p, cache, shuffle, NR) rendering used across tables."""
+#: The (n, p, cache, NR) knobs of Tables 7 and 9, whose grid varies Cache
+#: Capacity and pins Shuffle Capacity.
+CACHE_GRID_KNOBS = ("containers_per_node", "task_concurrency", "cache_capacity", "new_ratio")
+
+
+def config_str(cfg, knobs=None) -> str:
+    """Compact knob-tuple rendering used across tables: (n, p, cache,
+    shuffle, NR), or only the ``as_row()`` columns named in ``knobs``."""
     r = cfg.as_row()
-    return (
-        f"({r['containers_per_node']}, {r['task_concurrency']}, "
-        f"{r['cache_capacity']:g}, {r['shuffle_capacity']:g}, {r['new_ratio']})"
-    )
+    return "(" + ", ".join(f"{r[k]:g}" for k in knobs or r) + ")"

@@ -66,7 +66,8 @@ def generate_stats(profile: AppProfile) -> ProfileStats:
     """Derive the Table 6 statistics from an application profile."""
     if not profile.containers:
         raise ValueError("profile has no containers")
-    p = profile.task_concurrency
+    cfg, lay = profile.run.config, profile.run.layout
+    p = cfg.task_concurrency
     code = pctile([c.code_mb for c in profile.containers], 0.9)
     cache = pctile([c.cache_peak_mb for c in profile.containers], 0.9)
     shuffle = pctile([c.shuffle_task_peak_mb for c in profile.containers], 0.9)
@@ -88,7 +89,7 @@ def generate_stats(profile: AppProfile) -> ProfileStats:
         )
 
     return ProfileStats(
-        containers_per_node=profile.config.containers_per_node,
+        containers_per_node=cfg.containers_per_node,
         heap_mb=profile.containers[0].heap_mb,
         cpu_avg_pct=pctile([c.cpu_avg_pct for c in profile.containers], 0.5),
         disk_avg_pct=pctile([c.disk_avg_pct for c in profile.containers], 0.5),
@@ -97,8 +98,8 @@ def generate_stats(profile: AppProfile) -> ProfileStats:
         shuffle_task_mb=shuffle,
         unmanaged_task_mb=unmanaged,
         task_concurrency=p,
-        cache_hit_ratio=profile.cache_hit_ratio,
-        spill_fraction=profile.spill_fraction,
+        cache_hit_ratio=lay.cache_hit_ratio,
+        spill_fraction=lay.spill_fraction,
         from_full_gc=from_full_gc,
     )
 

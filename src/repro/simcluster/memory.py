@@ -47,13 +47,10 @@ class MemoryLayout:
     geom: HeapGeometry
     containers_total: int
     #: Pool occupancies per container (MB).
-    code_mb: float
     cache_capacity_mb: float
     cache_used_mb: float
     shuffle_grant_task_mb: float
     shuffle_used_task_mb: float
-    unmanaged_task_mb: float
-    task_concurrency: int
     #: Derived application metrics.
     cache_hit_ratio: float
     spill_fraction: float
@@ -70,7 +67,7 @@ def layout(model: WorkloadModel, cfg: MemoryConfig, cluster: ClusterSpec) -> Mem
     """Resolve pool occupancy and pressures for ``cfg`` on ``cluster``."""
     n = cfg.containers_per_node
     p = cfg.task_concurrency
-    heap = cfg.heap_mb(cluster)
+    heap = cluster.heap_mb(n)
     geom = HeapGeometry(heap, cfg.new_ratio)
     containers = cluster.nodes * n
 
@@ -122,13 +119,10 @@ def layout(model: WorkloadModel, cfg: MemoryConfig, cluster: ClusterSpec) -> Mem
     return MemoryLayout(
         geom=geom,
         containers_total=containers,
-        code_mb=model.code_mb,
         cache_capacity_mb=cache_cap,
         cache_used_mb=cache_used,
         shuffle_grant_task_mb=grant,
         shuffle_used_task_mb=used,
-        unmanaged_task_mb=model.unmanaged_task_mb,
-        task_concurrency=p,
         cache_hit_ratio=hit,
         spill_fraction=spill,
         live_demand_mb=live,

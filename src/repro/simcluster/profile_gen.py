@@ -67,29 +67,27 @@ class ContainerProfile:
 
 @dataclass(frozen=True)
 class AppProfile:
-    """One profiled application run (the RelM tuner's sole input)."""
+    """One profiled application run (the RelM tuner's sole input): the
+    run itself plus its per-container instrumentation."""
 
-    workload: str
-    config: MemoryConfig
-    cluster_name: str
+    run: SimulatedRun
     containers: tuple[ContainerProfile, ...]
-    task_concurrency: int
-    cache_hit_ratio: float
-    spill_fraction: float
-    runtime_sec: float
-    aborted: bool
-    failed_containers: int
-    gc_overhead: float
 
     @property
     def has_full_gc(self) -> bool:
         return any(c.full_gc for c in self.containers)
 
 
-def profile_run(run: SimulatedRun, model: WorkloadModel, cluster: ClusterSpec, *, seed: int = 0) -> AppProfile:
-    """Instrument a simulated run into an :class:`AppProfile`."""
+def profile_app(
+    model: WorkloadModel,
+    cfg: MemoryConfig,
+    cluster: ClusterSpec,
+    *,
+    seed: int = 0,
+) -> AppProfile:
+    """Simulate one run of ``model`` under ``cfg`` and instrument it."""
+    run = simulate(model, cfg, cluster, seed=seed)
     lay = run.layout
-    cfg = run.config
     p = cfg.task_concurrency
     rng = np.random.default_rng(stable_seed(model.name, "profile", seed))
 
@@ -141,27 +139,4 @@ def profile_run(run: SimulatedRun, model: WorkloadModel, cluster: ClusterSpec, *
             )
         )
 
-    return AppProfile(
-        workload=model.name,
-        config=cfg,
-        cluster_name=cluster.name,
-        containers=tuple(containers),
-        task_concurrency=p,
-        cache_hit_ratio=run.cache_hit_ratio,
-        spill_fraction=run.spill_fraction,
-        runtime_sec=run.runtime_sec,
-        aborted=run.aborted,
-        failed_containers=run.failed_containers,
-        gc_overhead=run.gc_overhead,
-    )
-
-
-def profile_app(
-    model: WorkloadModel,
-    cfg: MemoryConfig,
-    cluster: ClusterSpec,
-    *,
-    seed: int = 0,
-) -> AppProfile:
-    """Simulate one run of ``model`` under ``cfg`` and profile it."""
-    return profile_run(simulate(model, cfg, cluster, seed=seed), model, cluster, seed=seed)
+    return AppProfile(run=run, containers=tuple(containers))

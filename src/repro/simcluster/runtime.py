@@ -63,17 +63,15 @@ FULLGC_OLD_PRESSURE = 0.90
 
 @dataclass(frozen=True)
 class SimulatedRun:
-    """Observables of one simulated application execution."""
+    """Observables of one simulated application execution. The cache hit
+    ratio H and spill fraction S are the layout's."""
 
-    workload: str
     config: MemoryConfig
     runtime_sec: float
     aborted: bool
     failed_containers: int
     gc: GcBreakdown
     layout: MemoryLayout
-    cache_hit_ratio: float
-    spill_fraction: float
     cpu_avg_pct: float
     disk_avg_pct: float
     full_gc_events: int
@@ -172,15 +170,12 @@ def simulate(
     full_gc_events = int(max(0.0, total / 30.0)) + 2 if has_full_gc else 0
 
     return SimulatedRun(
-        workload=model.name,
         config=cfg,
         runtime_sec=float(total),
         aborted=bool(aborted),
         failed_containers=int(failed),
         gc=gc,
         layout=lay,
-        cache_hit_ratio=lay.cache_hit_ratio,
-        spill_fraction=lay.spill_fraction,
         cpu_avg_pct=float(cpu_avg),
         disk_avg_pct=float(disk_avg),
         full_gc_events=full_gc_events,

@@ -135,8 +135,8 @@ def state_vector(sample: Sample, stats: ProfileStats, cluster: ClusterSpec) -> n
     usage = [
         r.cpu_avg_pct / 100.0,
         r.disk_avg_pct / 100.0,
-        r.cache_hit_ratio,
-        r.spill_fraction,
+        r.layout.cache_hit_ratio,
+        r.layout.spill_fraction,
         r.gc_overhead,
     ]
     return np.concatenate([usage, q])

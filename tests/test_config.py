@@ -10,7 +10,6 @@ from repro.config import (
     MINOR_POOL_CAPACITY,
     MemoryConfig,
     max_resource_allocation,
-    unified_pool_fraction,
 )
 from repro.tuners.base import ConfigSpace
 
@@ -47,7 +46,7 @@ class TestMemoryConfigValidation:
     @pytest.mark.parametrize("n,heap", [(1, 4404), (2, 2202), (3, 1468), (4, 1101)])
     def test_heap_mb(self, n, heap):
         cfg = MemoryConfig(n, 1, 0.0, 0.1, 1)
-        assert cfg.heap_mb(CLUSTER_A) == heap
+        assert CLUSTER_A.heap_mb(cfg.containers_per_node) == heap
 
     def test_with_updates(self):
         cfg = MemoryConfig(1, 2, 0.4, 0.2, 2)
@@ -67,9 +66,9 @@ class TestDefaults:
         cfg = max_resource_allocation(CLUSTER_A)
         assert cfg.containers_per_node == 1
         assert cfg.task_concurrency == 2
-        assert unified_pool_fraction(cfg) == pytest.approx(0.6)
+        assert cfg.cache_capacity + cfg.shuffle_capacity == pytest.approx(0.6)
         assert cfg.new_ratio == 2
-        assert cfg.heap_mb(CLUSTER_A) == 4404
+        assert CLUSTER_A.heap_mb(cfg.containers_per_node) == 4404
 
 
 class TestGrid:

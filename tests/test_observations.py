@@ -95,7 +95,7 @@ class TestObservation4:
         small = sim("SortByKey", MemoryConfig(1, 2, 0.0, 0.2, 2))
         large = sim("SortByKey", MemoryConfig(1, 2, 0.0, 0.6, 2))
         assert large.runtime_sec > small.runtime_sec
-        assert large.spill_fraction < small.spill_fraction  # fewer spills, yet slower
+        assert large.layout.spill_fraction < small.layout.spill_fraction  # fewer spills, yet slower
 
 
 class TestObservation5:

@@ -1,8 +1,10 @@
 """Simulated profiling (repro.simcluster.profile_gen)."""
 import pytest
 
-from repro.cluster import CLUSTER_A
+from repro.cluster import CLUSTER_A, CLUSTER_B
 from repro.config import MemoryConfig, max_resource_allocation
+from repro.experiments.common import default_config
+from repro.simcluster import simulate
 from repro.simcluster.profile_gen import MAX_PROFILED_CONTAINERS, profile_app
 from repro.workloads import SUITE, workload_model
 
@@ -30,10 +32,17 @@ class TestProfileShape:
         m = workload_model("K-means")
         cfg = max_resource_allocation(CLUSTER_A)
         p = profile_app(m, cfg, CLUSTER_A)
-        assert p.workload == "K-means"
-        assert 0 <= p.cache_hit_ratio <= 1
-        assert p.runtime_sec > 0
-        assert p.task_concurrency == cfg.task_concurrency
+        assert 0 <= p.run.layout.cache_hit_ratio <= 1
+        assert p.run.runtime_sec > 0
+        assert p.run.config.task_concurrency == cfg.task_concurrency
+
+    @pytest.mark.parametrize("cluster", [CLUSTER_A, CLUSTER_B], ids=["A", "B"])
+    @pytest.mark.parametrize("name", SUITE)
+    def test_profile_is_the_simulated_run(self, name, cluster):
+        # The profile describes exactly the run an Objective observes.
+        m, cfg = workload_model(name), default_config(name, cluster)
+        for seed in (0, 1):
+            assert profile_app(m, cfg, cluster, seed=seed).run == simulate(m, cfg, cluster, seed=seed)
 
 
 class TestFullGcSnapshots:

@@ -99,7 +99,7 @@ class TestReprofilingHeuristics:
         profile, attempts = profile_with_full_gc(model, max_resource_allocation(CLUSTER_A), CLUSTER_A)
         assert attempts == MAX_PROFILE_ATTEMPTS == 3
         assert not profile.has_full_gc
-        assert profile.config == MemoryConfig(4, 2, 0.4, 0.2, 6)
+        assert profile.run.config == MemoryConfig(4, 2, 0.4, 0.2, 6)
         st = generate_stats(profile)
         assert not st.from_full_gc
         assert st.unmanaged_task_mb > model.unmanaged_task_mb
