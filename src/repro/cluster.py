@@ -1,4 +1,4 @@
-"""Cluster specifications (paper Table 3) and container-size enumeration.
+"""Cluster specifications (paper Table 3) and per-container heap sizes.
 
 The paper evaluates on two Spark clusters: an 8-node physical cluster
 ("Cluster A", mimicking EC2 m4.large) and a 4-node virtual EC2 cluster
@@ -11,14 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .units import GB
-
-
-@dataclass(frozen=True)
-class ContainerChoice:
-    """One enumerable container-size configuration (§4 Example)."""
-
-    containers_per_node: int
-    heap_mb: float
 
 
 @dataclass(frozen=True)
@@ -47,19 +39,10 @@ class ClusterSpec:
         return self.node_mem_mb * 0.92
 
     def heap_mb(self, containers_per_node: int) -> float:
-        """JVM heap of each of ``containers_per_node`` equal containers."""
+        """JVM heap of each of ``containers_per_node`` equal containers —
+        the §4 Example: 4404MB, 2202MB, 1468MB and 1101MB on Cluster A
+        for 1..4 containers per node."""
         return float(int(self.node_heap_mb / containers_per_node))
-
-    def container_choices(self) -> list[ContainerChoice]:
-        """Enumerate (containers per node, heap size) pairs — §4 Example.
-
-        For Cluster A this yields (1, 4404MB), (2, 2202MB), (3, 1468MB),
-        (4, 1101MB).
-        """
-        return [
-            ContainerChoice(n, self.heap_mb(n))
-            for n in range(1, self.max_containers_per_node + 1)
-        ]
 
     def max_task_concurrency(self, containers_per_node: int) -> int:
         """Task Concurrency range cap: physical cores / containers (§6.1)."""

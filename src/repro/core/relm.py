@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..cluster import ClusterSpec, ContainerChoice
+from ..cluster import ClusterSpec
 from ..config import NEW_RATIO_MAX, NEW_RATIO_MIN, MemoryConfig
 from ..profiler.stats import ProfileStats
 from ..simcluster.jvm import HeapGeometry
@@ -27,7 +27,7 @@ MAX_ARBITRATION_ITERS = 200
 
 @dataclass(frozen=True)
 class InitialConfig:
-    """Initializer output for one container choice (Eqs 1–4)."""
+    """Initializer output for one container size (Eqs 1–4)."""
 
     heap_mb: float
     containers_per_node: int
@@ -94,15 +94,15 @@ def pool_demands(stats: ProfileStats, heap_mb: float) -> tuple[float, float]:
     return m_c, m_s
 
 
-def initialize(stats: ProfileStats, choice: ContainerChoice, cluster: ClusterSpec) -> InitialConfig:
-    """Initializer (§4.2): optimize each pool independently.
+def initialize(stats: ProfileStats, n: int, cluster: ClusterSpec) -> InitialConfig:
+    """Initializer (§4.2): optimize each pool independently for ``n``
+    containers per node.
 
     Implements Eq 1 (cache from hit ratio), Eq 2 (shuffle from spill
     fraction), Eq 3 (GC pools), Eq 4 (task concurrency from CPU, disk
     and memory bottlenecks, assuming linear scaling).
     """
-    n = choice.containers_per_node
-    m_h = choice.heap_mb
+    m_h = cluster.heap_mb(n)
 
     # Eqs 1 and 2, capped so δ of the heap stays unassigned.
     m_c, m_s = pool_demands(stats, m_h)
@@ -217,13 +217,13 @@ def relm_recommend(
     Figure 24 utility-vs-performance ranking analysis.
     """
     candidates: list[ArbitratedConfig] = []
-    for choice in cluster.container_choices():
-        arb = arbitrate(initialize(stats, choice, cluster), stats)
+    for n in range(1, cluster.max_containers_per_node + 1):
+        arb = arbitrate(initialize(stats, n, cluster), stats)
         if arb is not None:
             candidates.append(arb)
     if not candidates:
         raise ValueError(
-            "RelM: no container choice can safely run this workload "
+            "RelM: no container size can safely run this workload "
             f"(M_i={stats.code_mb:.0f}MB, M_u={stats.unmanaged_task_mb:.0f}MB)"
         )
     best = max(candidates, key=lambda c: c.utility)

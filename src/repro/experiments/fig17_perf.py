@@ -1,9 +1,9 @@
 """Figure 17 (numbers): runtime of recommended configurations scaled to
 the MaxResourceAllocation default, with failed-container counts (§6.2).
 
-Reuses the Table 8 recommendation protocol; the default run itself is
-the denominator (an aborted default — PageRank — uses its wall time
-until abort, as the paper's Figure does).
+Reads Table 8's recommendations (its sessions run once per process);
+the default run itself is the denominator (an aborted default —
+PageRank — uses its wall time until abort, as the paper's Figure does).
 """
 from __future__ import annotations
 
@@ -25,15 +25,15 @@ PAPER = {
 }
 
 
-def run(seed: int = 0) -> Table:
+def run() -> Table:
     t = Table(
         title="Figure 17 (numbers) — Recommended runtime relative to defaults",
         columns=["application", "default (min)", "policy",
                  "paper (rel, failures)", "ours (rel)", "our failures"],
     )
     for name in SUITE:
-        base = simulate(workload_model(name), default_config(name), CLUSTER_A, seed=seed)
-        recs = recommend_all(name, seed=seed)
+        base = simulate(workload_model(name), default_config(name), CLUSTER_A)
+        recs = recommend_all(name)
         for policy in POLICIES:
             rec = recs[policy]
             p_rel, p_fail = PAPER[name][policy]

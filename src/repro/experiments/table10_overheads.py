@@ -7,8 +7,9 @@ Measures, on this host, one iteration's worth of each component:
 * **model fitting** — GP update (BO), GP update over the q-augmented
   features (GBO), one actor–critic training step (DDPG), the Initializer
   + Arbitrator evaluation (RelM);
-* **model probing** — EI over the candidate sweep (BO/GBO), an actor
-  forward pass (DDPG), the full container-enumeration loop (RelM);
+* **model probing** — building the candidate sweep's features and EI
+  over them (BO/GBO, timed alike), an actor forward pass (DDPG), the
+  full container-enumeration loop (RelM);
 * **model size** — pickled state a policy would persist for re-use
   (§6.3: DDPG stores network weights, BO stores its training data).
 """
@@ -56,34 +57,30 @@ def _time(fn, reps: int = N_REPS) -> float:
     return float(np.median(times))
 
 
-def measure(name: str = "SVM", seed: int = 0) -> dict[str, dict[str, str]]:
-    """Measure each component for each policy on ``name``'s tuning setup."""
+def measure() -> dict[str, dict[str, str]]:
+    """Measure each component for each policy on SVM's tuning setup."""
+    name = "SVM"
     model = workload_model(name)
     space = ConfigSpace(CLUSTER_A, dominant_pool(name))
-    stats = profiled_stats(name, "A", seed)
-    rng = np.random.default_rng(seed)
+    stats = profiled_stats(name, "A", 0)
+    rng = np.random.default_rng(0)
 
     # A representative training set.
-    objective = Objective(model, CLUSTER_A, seed=seed)
+    objective = Objective(model, CLUSTER_A)
     for cfg in space.sample(rng, N_TRAIN):
         objective(cfg)
     configs = [s.config for s in objective.history]
     y = np.log([s.objective for s in objective.history])
-    x_plain = np.array([space.encode(c) for c in configs])
-    feats = gbo_features(space, stats, CLUSTER_A)
-    x_guided = np.array([feats(c) for c in configs])
     cands = space.sample(rng, 600)
-    xq_plain = np.array([space.encode(c) for c in cands])
-    xq_guided = np.array([feats(c) for c in cands])
 
     # Stats collection: the Statistics Generator over a fresh profile.
-    profile = profile_app(model, default_config(name), CLUSTER_A, seed=seed)
+    profile = profile_app(model, default_config(name), CLUSTER_A)
     stats_ms = _time(lambda: generate_stats(profile))
 
     out: dict[str, dict[str, str]] = {}
 
     # --- DDPG.
-    agent = DDPGAgent(space=space, seed=seed)
+    agent = DDPGAgent(space=space)
     st_vec = state_vector(objective.history[0], stats, CLUSTER_A)
     while len(agent.replay) < 2 * N_TRAIN:  # enough past the training batch size
         for s in objective.history:
@@ -97,42 +94,37 @@ def measure(name: str = "SVM", seed: int = 0) -> dict[str, dict[str, str]]:
         "size": f"{len(pickle.dumps((agent.actor.w, agent.actor.b, agent.critic.w, agent.critic.b))) / 1024:.0f}Kb",
     }
 
-    # --- BO.
-    gp_plain = GaussianProcess.fit(x_plain, y)
-    out["BO"] = {
-        "stats": "n/a",
-        "fit": f"{_time(lambda: GaussianProcess.fit(x_plain, y)):.2f}ms",
-        "probe": f"{_time(lambda: expected_improvement(gp_plain, xq_plain, float(y.min()))):.2f}ms",
-        "size": f"{len(pickle.dumps((x_plain, y))) / 1024:.0f}Kb",
-    }
-
-    # --- GBO (adds the q-feature dimensionality).
-    gp_guided = GaussianProcess.fit(x_guided, y)
-    probe_guided = _time(
-        lambda: expected_improvement(
-            gp_guided, np.array([feats(c) for c in cands]), float(y.min())
+    # --- BO and GBO (GBO adds the q-feature dimensionality). Each probe
+    # builds its candidates' features inside the timed call, as the BO
+    # loop does every iteration.
+    for policy, feature, stats_cell in (
+        ("BO", space.encode, "n/a"),
+        ("GBO", gbo_features(space, stats, CLUSTER_A), f"{stats_ms:.2f}ms"),
+    ):
+        x = np.array([feature(c) for c in configs])
+        gp = GaussianProcess.fit(x, y)
+        probe_ms = _time(
+            lambda: expected_improvement(gp, np.array([feature(c) for c in cands]), float(y.min()))
         )
-    )
-    out["GBO"] = {
-        "stats": f"{stats_ms:.2f}ms",
-        "fit": f"{_time(lambda: GaussianProcess.fit(x_guided, y)):.2f}ms",
-        "probe": f"{probe_guided:.2f}ms",
-        "size": f"{len(pickle.dumps((x_guided, y))) / 1024:.0f}Kb",
-    }
+        out[policy] = {
+            "stats": stats_cell,
+            "fit": f"{_time(lambda: GaussianProcess.fit(x, y)):.2f}ms",
+            "probe": f"{probe_ms:.2f}ms",
+            "size": f"{len(pickle.dumps((x, y))) / 1024:.0f}Kb",
+        }
 
     # --- RelM.
-    choice = CLUSTER_A.container_choices()[1]
     out["RelM"] = {
         "stats": f"{stats_ms:.2f}ms",
-        "fit": f"{_time(lambda: arbitrate(initialize(stats, choice, CLUSTER_A), stats)):.3f}ms",
+        "fit": f"{_time(lambda: arbitrate(initialize(stats, 2, CLUSTER_A), stats)):.3f}ms",
         "probe": f"{_time(lambda: relm_recommend(stats, CLUSTER_A)):.3f}ms",
         "size": "-",
     }
     return out
 
 
-def run(seed: int = 0) -> Table:
-    measured = measure("SVM", seed)
+def run() -> Table:
+    measured = measure()
     t = Table(
         title="Table 10 — Per-iteration tuning-algorithm overheads (SVM)",
         columns=["component"] + [f"{p} (paper / ours)" for p in ("DDPG", "BO", "GBO", "RelM")],

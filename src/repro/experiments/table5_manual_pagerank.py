@@ -23,7 +23,7 @@ ROWS = [
 ]
 
 
-def run(seed: int = 0) -> Table:
+def run() -> Table:
     model = workload_model("PageRank")
     t = Table(
         title="Table 5 — Manual tuning of PageRank",
@@ -44,7 +44,7 @@ def run(seed: int = 0) -> Table:
             shuffle_capacity=0.0,
             new_ratio=nr,
         )
-        r = simulate(model, cfg, CLUSTER_A, seed=seed)
+        r = simulate(model, cfg, CLUSTER_A)
         t.add(
             containers=n,
             task_concurrency=p,

@@ -38,8 +38,8 @@ DESCRIPTIONS = {
 }
 
 
-def run(seed: int = 0) -> Table:
-    stats = profiled_stats("PageRank", "A", seed)
+def run() -> Table:
+    stats = profiled_stats("PageRank", "A", 0)
     ours = dict(stats.as_table6_rows())
     t = Table(
         title="Table 6 — Statistics derived from a PageRank profile",

@@ -4,13 +4,18 @@ Protocol per the paper: Exhaustive Search picks the fastest safe grid
 configuration; BO/GBO bootstrap from the Table 7 LHS samples and stop by
 the CherryPick rule (EI < 10% and ≥ 6 adaptive samples); DDPG stops
 after 10 new samples; RelM recommends from a single (re-)profiled run.
+
+The four tuning sessions of each application run once per process
+(:func:`sessions`); Table 9 and Figure 17 read the same runs.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 from ..cluster import CLUSTER_A
 from ..core import relm_recommend
 from ..simcluster import SimulatedRun, simulate
-from ..tuners.base import ConfigSpace, Objective
+from ..tuners.base import ConfigSpace, Objective, TuningResult
 from ..tuners.bo import bayesian_optimize
 from ..tuners.ddpg import ddpg_tune
 from ..tuners.exhaustive import exhaustive_search
@@ -62,42 +67,44 @@ PAPER = {
 POLICIES = ("Exhaustive", "DDPG", "BO", "GBO", "RelM")
 
 
-def recommend_all(name: str, *, seed: int = 0) -> dict[str, SimulatedRun]:
-    """Run all five policies on one workload and simulate each policy's
-    recommendation; deterministic in ``seed``."""
+@lru_cache(maxsize=None)
+def sessions(name: str) -> dict[str, TuningResult]:
+    """The Exhaustive, DDPG, BO and GBO tuning sessions on one workload
+    (seed 0), keyed by policy; run once per process."""
     model = workload_model(name)
     dp = dominant_pool(name)
     space = ConfigSpace(CLUSTER_A, dp)
-    stats = profiled_stats(name, "A", seed)
-    dflt = default_config(name)
-
-    ex = exhaustive_search(Objective(model, CLUSTER_A, seed=seed), dominant_pool=dp)
-    dd, _ = ddpg_tune(
-        Objective(model, CLUSTER_A, seed=seed), space, stats, dflt, seed=seed, max_steps=10
-    )
-    bo = bayesian_optimize(
-        Objective(model, CLUSTER_A, seed=seed), space, seed=seed,
-        bootstrap=paper_table7_samples(space),
-    )
-    gbo = guided_bayesian_optimize(
-        Objective(model, CLUSTER_A, seed=seed), space, stats, seed=seed,
-        bootstrap=paper_table7_samples(space),
-    )
-    relm, _, _ = relm_recommend(stats, CLUSTER_A)
-    configs = (ex.best_config, dd.best_config, bo.best_config, gbo.best_config, relm)
+    stats = profiled_stats(name, "A", 0)
     return {
-        policy: simulate(model, cfg, CLUSTER_A, seed=seed)
-        for policy, cfg in zip(POLICIES, configs)
+        "Exhaustive": exhaustive_search(Objective(model, CLUSTER_A), dominant_pool=dp),
+        "DDPG": ddpg_tune(
+            Objective(model, CLUSTER_A), space, stats, default_config(name), max_steps=10
+        )[0],
+        "BO": bayesian_optimize(
+            Objective(model, CLUSTER_A), space, bootstrap=paper_table7_samples(space)
+        ),
+        "GBO": guided_bayesian_optimize(
+            Objective(model, CLUSTER_A), space, stats, bootstrap=paper_table7_samples(space)
+        ),
     }
 
 
-def run(seed: int = 0) -> Table:
+def recommend_all(name: str) -> dict[str, SimulatedRun]:
+    """Each of the five policies' recommendation on one workload,
+    simulated: the four :func:`sessions`' best configs and RelM's."""
+    model = workload_model(name)
+    relm, _, _ = relm_recommend(profiled_stats(name, "A", 0), CLUSTER_A)
+    configs = {policy: res.best_config for policy, res in sessions(name).items()} | {"RelM": relm}
+    return {policy: simulate(model, cfg, CLUSTER_A) for policy, cfg in configs.items()}
+
+
+def run() -> Table:
     t = Table(
         title="Table 8 — Recommendations by tuning policy",
         columns=["application", "policy", "paper (n, p, cache, shuffle, NR)", "ours", "our runtime (min)"],
     )
     for name in SUITE:
-        recs = recommend_all(name, seed=seed)
+        recs = recommend_all(name)
         for policy in POLICIES:
             rec = recs[policy]
             t.add(

@@ -4,15 +4,11 @@ Reproduces the sample-by-sample trace: the four LHS bootstrap samples
 (sample # 0) followed by the adaptive probes, with the runtime of each.
 The paper uses this table to show BO pinning Cache Capacity near the
 bootstrap's best region (a local minimum — SVM wants ≥ 0.5 to fit its
-cached data).
+cached data). The run is Table 8's SVM BO session.
 """
 from __future__ import annotations
 
-from ..cluster import CLUSTER_A
-from ..tuners.base import ConfigSpace, Objective
-from ..tuners.bo import bayesian_optimize
-from ..tuners.lhs import paper_table7_samples
-from ..workloads import dominant_pool, workload_model
+from .table8_recommendations import sessions
 from .tables import CACHE_GRID_KNOBS, Table, config_str
 
 #: Paper Table 9 rows: (sample #, n, p, cache, NR, runtime minutes).
@@ -30,20 +26,14 @@ PAPER = [
 ]
 
 
-def run(seed: int = 0) -> Table:
-    model = workload_model("SVM")
-    space = ConfigSpace(CLUSTER_A, dominant_pool("SVM"))
-    objective = Objective(model, CLUSTER_A, seed=seed)
-    result = bayesian_optimize(
-        objective, space, seed=seed, bootstrap=paper_table7_samples(space)
-    )
+def run() -> Table:
     t = Table(
         title="Table 9 — Log of a BO run for SVM",
         columns=["sample #", "config (n, p, cache, NR)", "runtime (min)",
                  "paper config", "paper runtime (min)"],
         notes=["Sample # 0 rows are the LHS bootstrap (paper Table 7)."],
     )
-    for i, s in enumerate(result.samples):
+    for i, s in enumerate(sessions("SVM")["BO"].samples):
         num = 0 if i < 4 else i - 3
         if i < len(PAPER):
             pn, a, b, c, d, prt = PAPER[i]

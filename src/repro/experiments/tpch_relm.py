@@ -20,14 +20,14 @@ PAPER_DEFAULT_MIN = 66.0
 PAPER_RELM_MIN = 40.0
 
 
-def run(seed: int = 0) -> Table:
+def run() -> Table:
     model = workload_model("TPC-H")
     dflt = max_resource_allocation(CLUSTER_B)
-    base = simulate(model, dflt, CLUSTER_B, seed=seed)
-    profile, attempts = profile_with_full_gc(model, dflt, CLUSTER_B, seed=seed)
+    base = simulate(model, dflt, CLUSTER_B)
+    profile, attempts = profile_with_full_gc(model, dflt, CLUSTER_B)
     stats = generate_stats(profile)
     cfg, _, _ = relm_recommend(stats, CLUSTER_B)
-    tuned = simulate(model, cfg, CLUSTER_B, seed=seed)
+    tuned = simulate(model, cfg, CLUSTER_B)
 
     t = Table(
         title="Figure 21 (numbers) — TPC-H on Cluster B: defaults vs RelM",

@@ -48,7 +48,6 @@ class Sample:
 class TuningResult:
     """Outcome of one tuning session."""
 
-    policy: str
     best_config: MemoryConfig
     best_runtime_sec: float
     samples: list[Sample]
@@ -188,12 +187,11 @@ class Objective:
         pool = clean if clean else self.history
         return min(pool, key=lambda s: s.objective)
 
-    def result(self, policy: str, **timings: float) -> TuningResult:
-        """The session so far as a :class:`TuningResult` for ``policy``;
-        ``timings`` are its ``fit_seconds``/``probe_seconds``."""
+    def result(self, **timings: float) -> TuningResult:
+        """The session so far as a :class:`TuningResult`; ``timings``
+        are its ``fit_seconds``/``probe_seconds``."""
         best = self.best()
         return TuningResult(
-            policy=policy,
             best_config=best.config,
             best_runtime_sec=best.runtime_sec,
             samples=list(self.history),

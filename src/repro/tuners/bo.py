@@ -55,7 +55,6 @@ def bayesian_optimize(
     surrogate_fit: Callable[[np.ndarray, np.ndarray], Surrogate] | None = None,
     max_iters: int = DEFAULT_MAX_ITERS,
     target_runtime_sec: float | None = None,
-    policy_name: str = "BO",
 ) -> TuningResult:
     """Run the SMBO loop; returns the tuning result with timing breakdown.
 
@@ -135,4 +134,4 @@ def bayesian_optimize(
             ):
                 break
 
-    return objective.result(policy_name, fit_seconds=fit_sec, probe_seconds=probe_sec)
+    return objective.result(fit_seconds=fit_sec, probe_seconds=probe_sec)

@@ -189,7 +189,6 @@ class DDPGAgent:
         self.critic.forward(np.concatenate([s, mu], axis=1))
         dq = self.critic.input_gradient(np.ones((BATCH, 1)))
         dq_da = dq[:, STATE_DIM:]
-        self.actor.forward(s)
         self.actor.backward(-dq_da, LR_ACTOR)
 
         self.actor_t.copy_from(self.actor, TAU)
@@ -206,7 +205,6 @@ def ddpg_tune(
     max_steps: int = 10,
     agent: DDPGAgent | None = None,
     stop_runtime_sec: float | None = None,
-    policy_name: str = "DDPG",
 ) -> tuple[TuningResult, DDPGAgent]:
     """One DDPG tuning session.
 
@@ -245,4 +243,4 @@ def ddpg_tune(
         if stop_runtime_sec is not None and sample.meets(stop_runtime_sec):
             break
 
-    return objective.result(policy_name), agent
+    return objective.result(), agent

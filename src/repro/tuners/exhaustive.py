@@ -14,4 +14,4 @@ def exhaustive_search(objective: Objective, *, dominant_pool: str) -> TuningResu
     samples come back in grid order."""
     for cfg in ConfigSpace(objective.cluster, dominant_pool).grid():
         objective(cfg)
-    return objective.result("Exhaustive")
+    return objective.result()

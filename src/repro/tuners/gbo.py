@@ -45,6 +45,5 @@ def guided_bayesian_optimize(
         objective,
         space,
         feature_fn=gbo_features(space, stats, objective.cluster),
-        policy_name="GBO",
         **kw,
     )

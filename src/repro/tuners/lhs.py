@@ -33,8 +33,10 @@ def paper_table7_samples(space: ConfigSpace) -> list[MemoryConfig]:
     """The exact LHS bootstrap the paper lists in Table 7.
 
     (Containers per Node, Task Concurrency, dominant pool fraction,
-    NewRatio) = (1,4,.6,7), (2,1,.4,3), (3,2,.2,5), (4,2,.8,1) — note
-    each dimension's strata are hit exactly once, the LHS property.
+    NewRatio) = (1,4,.6,7), (2,1,.4,3), (3,2,.2,5), (4,2,.8,1).
+    Containers, pool fraction and NewRatio each hit every stratum once;
+    Task Concurrency (4, 1, 2, 2) repeats 2, so in that dimension the
+    paper's bootstrap is not a strict Latin Hypercube.
     """
     rows = [(1, 4, 0.6, 7), (2, 1, 0.4, 3), (3, 2, 0.2, 5), (4, 2, 0.8, 1)]
     return [space.config(*row) for row in rows]

@@ -14,11 +14,11 @@ real PySpark job on synthetic data at a small scale factor, measures
 rows/bytes/time (:class:`MeasuredProfile`), and
 :func:`scale_measurement` extrapolates to the paper's dataset size. The
 constants frozen in each module's ``MODEL`` come from that pipeline
-(see the per-module derivation comments); tests in
-``tests/test_workload_scaling.py`` assert the live measurement still
-lands within a band of the frozen values, so the models stay tied to
-real executed Spark jobs without making the experiment tables
-nondeterministic.
+(see the per-module derivation comments), so the experiment tables stay
+deterministic. ``tests/test_workload_scaling.py`` runs each live
+measurement, but its band check compares only the memory fields
+(``partition_mb × mem_expansion``, both set by hand) with ``MODEL``; the
+one live-derived field, ``cpu_sec_per_task``, is not checked.
 """
 from __future__ import annotations
 

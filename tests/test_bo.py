@@ -54,16 +54,15 @@ class TestObjective:
         assert all(s.aborted for s in samples)
         best = min(samples, key=lambda s: s.objective)
         assert obj.best() is best
-        res = obj.result("X")
+        res = obj.result()
         assert (res.best_config, res.best_runtime_sec) == (best.config, best.runtime_sec)
 
     def test_result_is_best_plus_history(self):
         obj = Objective(workload_model("PageRank"), CLUSTER_A)
         obj(MemoryConfig(1, 2, 0.6, 0.0, 2))  # aborted
         clean = obj(MemoryConfig(2, 1, 0.4, 0.0, 3))
-        res = obj.result("X", fit_seconds=1.5)
-        assert (res.policy, res.best_config, res.best_runtime_sec) == (
-            "X", clean.config, clean.runtime_sec)
+        res = obj.result(fit_seconds=1.5)
+        assert (res.best_config, res.best_runtime_sec) == (clean.config, clean.runtime_sec)
         assert res.samples == obj.history and res.samples is not obj.history
         assert (res.fit_seconds, res.probe_seconds) == (1.5, 0.0)
 
@@ -123,7 +122,6 @@ class TestBayesianOptimize:
         space = ConfigSpace(CLUSTER_A, "cache")
         obj = Objective(workload_model("SVM"), CLUSTER_A)
         res = bayesian_optimize(obj, space, seed=0, bootstrap=paper_table7_samples(space))
-        assert res.policy == "BO"
         assert res.iterations >= 4 + MIN_ADAPTIVE_SAMPLES
         assert [s.config for s in res.samples[:4]] == paper_table7_samples(space)
 
@@ -184,7 +182,6 @@ class TestGuidedBayesianOptimize:
         obj = Objective(workload_model("K-means"), CLUSTER_A)
         res = guided_bayesian_optimize(obj, space, stats, seed=0,
                                        bootstrap=paper_table7_samples(space))
-        assert res.policy == "GBO"
         assert res.best_runtime_sec > 0
 
     def test_pagerank_guided_finds_safe_config(self):

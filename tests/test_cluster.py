@@ -1,7 +1,9 @@
-"""Cluster specs and container enumeration (paper Table 3, §4 example)."""
+"""Cluster specs and per-container heap sizes (paper Table 3, §4 example)."""
 import pytest
 
 from repro.cluster import CLUSTER_A, CLUSTER_B, ClusterSpec, cluster_by_name
+from repro.core import relm_recommend
+from repro.profiler.stats import ProfileStats
 
 
 class TestClusterA:
@@ -13,7 +15,7 @@ class TestClusterA:
 
     def test_paper_container_example(self):
         # §4 Example: (1, 4404MB), (2, 2202MB), (3, 1468MB), (4, 1101MB).
-        choices = [(c.containers_per_node, int(c.heap_mb)) for c in CLUSTER_A.container_choices()]
+        choices = [(n, int(CLUSTER_A.heap_mb(n))) for n in range(1, CLUSTER_A.max_containers_per_node + 1)]
         assert choices == [(1, 4404), (2, 2202), (3, 1468), (4, 1101)]
 
     @pytest.mark.parametrize("n,expected", [(1, 8), (2, 4), (3, 2), (4, 2)])
@@ -37,10 +39,8 @@ class TestClusterB:
         assert CLUSTER_B.node_heap_mb == 16 * 1024
 
     def test_heap_split_is_equal(self):
-        for c in CLUSTER_B.container_choices():
-            assert c.heap_mb == pytest.approx(
-                int(CLUSTER_B.node_heap_mb / c.containers_per_node)
-            )
+        for n in range(1, CLUSTER_B.max_containers_per_node + 1):
+            assert CLUSTER_B.heap_mb(n) == pytest.approx(int(CLUSTER_B.node_heap_mb / n))
 
     def test_network_faster_than_a(self):
         assert CLUSTER_B.network_mbps > CLUSTER_A.network_mbps
@@ -53,7 +53,13 @@ class TestCustomSpec:
             cores_per_node=4, network_mbps=100, disk_mbps=50,
             max_containers_per_node=2,
         )
-        assert len(spec.container_choices()) == 2
+        stats = ProfileStats(
+            containers_per_node=1, heap_mb=6000.0, cpu_avg_pct=35.0, disk_avg_pct=2.0,
+            code_mb=100.0, cache_mb=500.0, shuffle_task_mb=0.0, unmanaged_task_mb=200.0,
+            task_concurrency=2, cache_hit_ratio=0.5, spill_fraction=0.0, from_full_gc=True,
+        )
+        _, _, candidates = relm_recommend(stats, spec)
+        assert [c.containers_per_node for c in candidates] == [1, 2]
 
     def test_concurrency_at_least_one(self):
         spec = ClusterSpec(

@@ -1,4 +1,6 @@
 """Experiment harnesses: every table runs and key shape claims hold."""
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -8,16 +10,19 @@ import pytest
 
 from repro.experiments import (
     fig16_overheads,
+    fig26_rf,
     fig27_ddpg_generality,
     table4_defaults,
     table5_manual_pagerank,
     table6_stats,
     table7_lhs,
+    table8_recommendations,
     table9_bo_svm,
     table10_overheads,
     tpch_relm,
 )
-from repro.experiments.tables import Table, config_str
+from repro.experiments.__main__ import NAMES
+from repro.experiments.tables import CACHE_GRID_KNOBS, Table, config_str
 from repro.config import MemoryConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -110,11 +115,17 @@ class TestTable9:
         assert t.rows[4]["sample #"] == "1"
         assert len(t.rows) >= 10
 
+    def test_rows_are_table8_svm_bo_session(self):
+        sessions = table8_recommendations.sessions
+        assert sessions("SVM") is sessions("SVM")
+        rows = [r["config (n, p, cache, NR)"] for r in table9_bo_svm.run().rows]
+        assert rows == [config_str(s.config, CACHE_GRID_KNOBS) for s in sessions("SVM")["BO"].samples]
+
 
 class TestTable10:
     @pytest.fixture(scope="class")
     def measured(self):
-        return table10_overheads.measure("SVM", seed=0)
+        return table10_overheads.measure()
 
     def _ms(self, s):
         return float(s.rstrip("ms"))
@@ -148,6 +159,24 @@ class TestFig16:
         with pytest.raises(ValueError, match="surrogate"):
             fig16_overheads.train_to_top5("SVM", "BO", surrogate="XGB")
 
+    def test_fig26_gp_session_hits_fig16_cache(self, monkeypatch):
+        # Record how each figure spells its train_to_top5 calls, then
+        # replay the first SVM BO call of each (seed 0, GP) for real.
+        spellings = []
+        for mod in (fig16_overheads, fig26_rf):
+            calls = []
+            monkeypatch.setattr(mod, "train_to_top5",
+                                lambda *a, _calls=calls, **kw: _calls.append((a, kw)) or (1.0, 1))
+            mod.run()
+            spellings.append(next((a, kw) for a, kw in calls if a[:2] == ("SVM", "BO")))
+        monkeypatch.undo()
+        train = fig16_overheads.train_to_top5
+        train.cache_clear()
+        for a, kw in spellings:
+            train(*a, **kw)
+        info = train.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
 
 class TestFig27:
     def test_pretrained_close_to_native(self):
@@ -168,6 +197,12 @@ class TestCli:
         out = self._run("table4_defaults")
         assert out.returncode == 0, out.stderr
         assert out.stdout == table4_defaults.run().to_markdown() + "\n"
+
+    def test_entry_points_take_no_options(self):
+        for name in NAMES:
+            run = importlib.import_module(f"repro.experiments.{name}").run
+            assert not inspect.signature(run).parameters, name
+        assert not inspect.signature(table10_overheads.measure).parameters
 
     def test_unknown_name_lists_valid_names(self):
         out = self._run("table99")

@@ -33,7 +33,7 @@ class TestInitializerPaperExample:
     """§4.2 Example: n=1, heap 4404MB, δ=0.1 → m_c≈3964, m_s=0, p=5, NR=9."""
 
     def setup_method(self):
-        self.init = initialize(PAPER_STATS, CLUSTER_A.container_choices()[0], CLUSTER_A)
+        self.init = initialize(PAPER_STATS, 1, CLUSTER_A)
 
     def test_cache(self):
         # Eq 1 with M_c/(H·M_h) > 1 clamps at (1-δ): 0.9 · 4404 = 3964.
@@ -54,23 +54,23 @@ class TestInitializerPaperExample:
 class TestInitializerEquations:
     def test_eq1_scales_by_hit_ratio(self):
         st_half = make_stats(cache_mb=1000.0, cache_hit_ratio=0.5, unmanaged_task_mb=100.0)
-        init = initialize(st_half, CLUSTER_A.container_choices()[0], CLUSTER_A)
+        init = initialize(st_half, 1, CLUSTER_A)
         # demand = M_c / (H · M_h) = 1000/(0.5·4404) of the new heap.
         assert init.cache_mb == pytest.approx(4404 * 1000 / (0.5 * 4404))
 
     def test_eq2_scales_by_spillage(self):
         st_spill = make_stats(shuffle_task_mb=200.0, spill_fraction=0.5, cache_mb=0.0, task_concurrency=2)
-        init = initialize(st_spill, CLUSTER_A.container_choices()[0], CLUSTER_A)
+        init = initialize(st_spill, 1, CLUSTER_A)
         assert init.shuffle_task_mb == pytest.approx(200.0 / (1 - 0.5 / 2))
 
     def test_eq4_memory_bound(self):
         st_mem = make_stats(cpu_avg_pct=1.0, disk_avg_pct=1.0, unmanaged_task_mb=1500.0, cache_mb=0.0)
-        init = initialize(st_mem, CLUSTER_A.container_choices()[0], CLUSTER_A)
+        init = initialize(st_mem, 1, CLUSTER_A)
         assert init.task_concurrency == int(0.9 * 4404 / 1500)
 
     def test_eq4_respects_core_cap(self):
         st_cpu = make_stats(cpu_avg_pct=1.0, disk_avg_pct=0.1, unmanaged_task_mb=10.0, cache_mb=0.0)
-        init = initialize(st_cpu, CLUSTER_A.container_choices()[0], CLUSTER_A)
+        init = initialize(st_cpu, 1, CLUSTER_A)
         assert init.task_concurrency <= CLUSTER_A.cores_per_node
 
     def test_gc_pools_eq3(self):
@@ -91,12 +91,12 @@ class TestArbitrator:
     def test_insufficient_memory_returns_none(self):
         # Line 1: one task must fit.
         st_big = make_stats(unmanaged_task_mb=5000.0)
-        init = initialize(st_big, CLUSTER_A.container_choices()[0], CLUSTER_A)
+        init = initialize(st_big, 1, CLUSTER_A)
         assert arbitrate(init, st_big) is None
 
     def test_safety_postcondition(self):
         # Lines 4–10 guarantee M_i + p·M_u + m_c <= m_o on exit.
-        init = initialize(PAPER_STATS, CLUSTER_A.container_choices()[0], CLUSTER_A)
+        init = initialize(PAPER_STATS, 1, CLUSTER_A)
         arb = arbitrate(init, PAPER_STATS)
         assert arb is not None
         assert (
@@ -110,13 +110,13 @@ class TestArbitrator:
         # Line 11 (Observation 7).
         st_sh = make_stats(cache_mb=0.0, shuffle_task_mb=2000.0, unmanaged_task_mb=200.0,
                            cache_hit_ratio=1.0)
-        init = initialize(st_sh, CLUSTER_A.container_choices()[0], CLUSTER_A)
+        init = initialize(st_sh, 1, CLUSTER_A)
         arb = arbitrate(init, st_sh)
         assert arb is not None
         assert arb.shuffle_task_mb <= 0.5 * arb.eden_mb / arb.task_concurrency + 1e-9
 
     def test_utility_formula(self):
-        init = initialize(PAPER_STATS, CLUSTER_A.container_choices()[0], CLUSTER_A)
+        init = initialize(PAPER_STATS, 1, CLUSTER_A)
         arb = arbitrate(init, PAPER_STATS)
         expected = (
             PAPER_STATS.code_mb + arb.cache_mb
@@ -127,7 +127,7 @@ class TestArbitrator:
     def test_pagerank_example_lands_near_paper(self):
         # §4.3 Example: the arbitrated fat-container config drops Task
         # Concurrency to ~2 and cache to ~1.5GB.
-        init = initialize(PAPER_STATS, CLUSTER_A.container_choices()[0], CLUSTER_A)
+        init = initialize(PAPER_STATS, 1, CLUSTER_A)
         arb = arbitrate(init, PAPER_STATS)
         assert arb.task_concurrency <= 3
         assert arb.cache_mb < init.cache_mb
@@ -146,8 +146,8 @@ class TestArbitrator:
             cache_mb=cache, cache_hit_ratio=hit, unmanaged_task_mb=mu,
             shuffle_task_mb=shuffle, spill_fraction=spill, cpu_avg_pct=cpu,
         )
-        for choice in CLUSTER_A.container_choices():
-            arb = arbitrate(initialize(stats, choice, CLUSTER_A), stats)
+        for n in range(1, CLUSTER_A.max_containers_per_node + 1):
+            arb = arbitrate(initialize(stats, n, CLUSTER_A), stats)
             if arb is None:
                 continue
             assert stats.code_mb + arb.task_concurrency * mu + arb.cache_mb <= arb.old_mb + 1e-6
@@ -158,7 +158,7 @@ class TestArbitrator:
 
 class TestToMemoryConfig:
     def test_roundtrip_fields(self):
-        init = initialize(PAPER_STATS, CLUSTER_A.container_choices()[1], CLUSTER_A)
+        init = initialize(PAPER_STATS, 2, CLUSTER_A)
         arb = arbitrate(init, PAPER_STATS)
         cfg = arb.to_memory_config()
         assert cfg.containers_per_node == 2
