@@ -29,7 +29,6 @@ from ..tuners.base import ConfigSpace, Objective
 from ..tuners.ddpg import DDPGAgent, state_vector
 from ..tuners.gbo import gbo_features
 from ..tuners.gp import GaussianProcess, expected_improvement
-from ..tuners.lhs import lhs_configs
 from ..workloads import dominant_pool, workload_model
 from .common import default_config, profiled_stats
 from .tables import Table
@@ -67,11 +66,11 @@ def measure() -> dict[str, dict[str, str]]:
 
     # A representative training set.
     objective = Objective(model, CLUSTER_A)
-    for cfg in space.sample(rng, N_TRAIN):
+    for cfg in space.decode(rng.random((N_TRAIN, space.dim))):
         objective(cfg)
     configs = [s.config for s in objective.history]
     y = np.log([s.objective for s in objective.history])
-    cands = space.sample(rng, 600)
+    cands = space.decode(rng.random((600, space.dim)))
 
     # Stats collection: the Statistics Generator over a fresh profile.
     profile = profile_app(model, default_config(name), CLUSTER_A)
@@ -101,10 +100,10 @@ def measure() -> dict[str, dict[str, str]]:
         ("BO", space.encode, "n/a"),
         ("GBO", gbo_features(space, stats, CLUSTER_A), f"{stats_ms:.2f}ms"),
     ):
-        x = np.array([feature(c) for c in configs])
+        x = feature(configs)
         gp = GaussianProcess.fit(x, y)
         probe_ms = _time(
-            lambda: expected_improvement(gp, np.array([feature(c) for c in cands]), float(y.min()))
+            lambda: expected_improvement(gp, feature(cands), float(y.min()))
         )
         out[policy] = {
             "stats": stats_cell,

@@ -21,6 +21,7 @@ from ..config import (
     GRID_TASK_CONCURRENCY,
     MINOR_POOL_CAPACITY,
     NEW_RATIO_MAX,
+    NEW_RATIO_MIN,
     MemoryConfig,
 )
 from ..simcluster.runtime import SimulatedRun, simulate
@@ -87,6 +88,9 @@ class ConfigSpace:
         self.cluster = cluster
         self.dominant_pool = dominant_pool
         self.dim = 4
+        #: The §6.1 box: each encoded coordinate is (knob − lo) / (hi − lo).
+        self.lo = np.array([1, 1, self.FRAC_MIN, NEW_RATIO_MIN])
+        self.hi = np.array([cluster.max_containers_per_node, cluster.cores_per_node, self.FRAC_MAX, NEW_RATIO_MAX])
 
     def config(self, n: int, p: int, frac: float, nr: int) -> MemoryConfig:
         """The configuration for §6.1 knob values.
@@ -122,31 +126,20 @@ class ConfigSpace:
             for nr in GRID_NEW_RATIOS
         ]
 
-    def decode(self, x: np.ndarray) -> MemoryConfig:
-        """Map a unit-cube point to a valid MemoryConfig."""
-        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        n = int(round(1 + x[0] * (self.cluster.max_containers_per_node - 1)))
-        p = int(round(1 + x[1] * (self.cluster.cores_per_node - 1)))
-        frac = float(self.FRAC_MIN + x[2] * (self.FRAC_MAX - self.FRAC_MIN))
-        nr = int(round(1 + x[3] * (NEW_RATIO_MAX - 1)))
-        return self.config(n, p, round(frac, 2), nr)
+    def decode(self, x: np.ndarray) -> list[MemoryConfig]:
+        """Map each row of a (k, 4) array of unit-cube points to a valid
+        MemoryConfig; points outside the cube are clamped to it."""
+        x = np.clip(np.atleast_2d(np.asarray(x, dtype=float)), 0.0, 1.0)
+        knobs = self.lo + x * (self.hi - self.lo)
+        return [self.config(int(round(n)), int(round(p)), round(f, 2), int(round(nr)))
+                for n, p, f, nr in knobs.tolist()]
 
-    def encode(self, cfg: MemoryConfig) -> np.ndarray:
-        """Inverse of :meth:`decode` (up to rounding)."""
-        frac = cfg.cache_capacity if self.dominant_pool == "cache" else cfg.shuffle_capacity
-        return np.array(
-            [
-                (cfg.containers_per_node - 1) / (self.cluster.max_containers_per_node - 1),
-                (cfg.task_concurrency - 1) / (self.cluster.cores_per_node - 1),
-                (frac - self.FRAC_MIN) / (self.FRAC_MAX - self.FRAC_MIN),
-                (cfg.new_ratio - 1) / (NEW_RATIO_MAX - 1),
-            ],
-            dtype=float,
-        ).clip(0.0, 1.0)
-
-    def sample(self, rng: np.random.Generator, k: int) -> list[MemoryConfig]:
-        """Uniform random configurations."""
-        return [self.decode(rng.random(self.dim)) for _ in range(k)]
+    def encode(self, cfgs: list[MemoryConfig]) -> np.ndarray:
+        """The (k, 4) unit-cube points of ``cfgs``; inverse of
+        :meth:`decode` on every configuration it returns."""
+        pool = f"{self.dominant_pool}_capacity"
+        knobs = np.array([(c.containers_per_node, c.task_concurrency, getattr(c, pool), c.new_ratio) for c in cfgs])
+        return ((knobs - self.lo) / (self.hi - self.lo)).clip(0.0, 1.0)
 
 
 @dataclass

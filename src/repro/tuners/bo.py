@@ -50,7 +50,7 @@ def bayesian_optimize(
     space: ConfigSpace,
     *,
     seed: int = 0,
-    feature_fn: Callable[[MemoryConfig], np.ndarray] | None = None,
+    feature_fn: Callable[[list[MemoryConfig]], np.ndarray] | None = None,
     bootstrap: list[MemoryConfig] | None = None,
     surrogate_fit: Callable[[np.ndarray, np.ndarray], Surrogate] | None = None,
     max_iters: int = DEFAULT_MAX_ITERS,
@@ -64,7 +64,7 @@ def bayesian_optimize(
     configuration within the top 5 percentile of Exhaustive Search.
     """
     rng = np.random.default_rng(seed)
-    feats = feature_fn or (lambda cfg: space.encode(cfg))
+    feats = feature_fn or space.encode
     fit = surrogate_fit or (lambda x, y: GaussianProcess.fit(x, y))
     # The surrogate models log-runtime: the §6.1 abort penalty (2× worst)
     # would otherwise dominate the GP's output scale and flatten the
@@ -82,7 +82,7 @@ def bayesian_optimize(
     adaptive = 0
     best_trace: list[float] = []
     while adaptive < max_iters:
-        x = np.array([feats(s.config) for s in objective.history])
+        x = feats([s.config for s in objective.history])
         y = np.log(np.maximum(1e-3, [s.objective for s in objective.history]))
 
         t0 = time.perf_counter()
@@ -93,13 +93,14 @@ def bayesian_optimize(
         # Random sweep + the discrete §6.1 grid + local refinement
         # around the incumbent (the random + gradient-search combo of
         # §5.1, adapted to a mixed discrete/continuous space).
-        cands = space.sample(rng, N_CANDIDATES)
-        cands.extend(grid)
-        inc = space.encode(objective.best().config)
-        for _ in range(N_NEIGHBORS):
-            cands.append(space.decode(inc + rng.normal(0.0, NEIGHBOR_STEP, space.dim)))
+        inc = space.encode([objective.best().config])
+        cands = (
+            space.decode(rng.random((N_CANDIDATES, space.dim)))
+            + grid
+            + space.decode(inc + rng.normal(0.0, NEIGHBOR_STEP, (N_NEIGHBORS, space.dim)))
+        )
         cands = list(dict.fromkeys(cands))
-        xq = np.array([feats(c) for c in cands])
+        xq = feats(cands)
         tau = float(min(y))
         ei = expected_improvement(model, xq, tau)  # works for any Surrogate
         order = np.argsort(-ei)

@@ -232,7 +232,7 @@ def ddpg_tune(
             action = rng.uniform(-1.0, 1.0, space.dim)
         else:
             action = np.clip(agent.act(state) + ou, -1.0, 1.0)
-        cfg = space.decode((action + 1.0) / 2.0)
+        cfg = space.decode((action + 1.0) / 2.0)[0]
         sample = objective(cfg)
         reward = cdbtune_reward(runtime0, prev_runtime, sample.objective)
         next_state = state_vector(sample, stats, objective.cluster)

@@ -24,11 +24,11 @@ Q_CLIP = 4.0
 
 
 def gbo_features(space: ConfigSpace, stats: ProfileStats, cluster: ClusterSpec):
-    """Feature function: x ⊕ q(x)/Q_CLIP, all roughly in [0, 1]."""
+    """Feature function: a row x ⊕ q(x)/Q_CLIP per config, all roughly in [0, 1]."""
 
-    def feats(cfg: MemoryConfig) -> np.ndarray:
-        q = np.clip(np.array(q_metrics(cfg, stats, cluster)), 0.0, Q_CLIP) / Q_CLIP
-        return np.concatenate([space.encode(cfg), q])
+    def feats(cfgs: list[MemoryConfig]) -> np.ndarray:
+        q = np.array([q_metrics(cfg, stats, cluster) for cfg in cfgs])
+        return np.hstack([space.encode(cfgs), np.clip(q, 0.0, Q_CLIP) / Q_CLIP])
 
     return feats
 

@@ -18,21 +18,13 @@ MIN_LEAF = 2
 N_TREES = 25
 
 
-@dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    value: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-def _build(x: np.ndarray, y: np.ndarray, rng: np.random.Generator, depth: int) -> _Node:
-    node = _Node(value=float(y.mean()))
+def _build(x: np.ndarray, y: np.ndarray, rng: np.random.Generator, depth: int, nodes: list) -> int:
+    """Append the subtree fit to (x, y) to ``nodes`` depth first, one
+    [feature, threshold, left, right, value] row per node, and return its
+    root. Rows with x[feature] <= threshold go left; a leaf has feature
+    -1 and points at itself; value is the mean of the node's targets."""
+    node = len(nodes)
+    nodes.append([-1, 0.0, node, node, float(y.mean())])
     if depth >= MAX_DEPTH or len(y) < 2 * MIN_LEAF or np.allclose(y, y[0]):
         return node
     n_feat = x.shape[1]
@@ -53,23 +45,27 @@ def _build(x: np.ndarray, y: np.ndarray, rng: np.random.Generator, depth: int) -
                 best = (sse, int(f), float(t), mask)
     if best is None:
         return node
-    _, node.feature, node.threshold, mask = best
-    node.left = _build(x[mask], y[mask], rng, depth + 1)
-    node.right = _build(x[~mask], y[~mask], rng, depth + 1)
+    _, feature, threshold, mask = best
+    left = _build(x[mask], y[mask], rng, depth + 1, nodes)
+    right = _build(x[~mask], y[~mask], rng, depth + 1, nodes)
+    nodes[node][:4] = [feature, threshold, left, right]
     return node
 
 
-def _predict_one(node: _Node, row: np.ndarray) -> float:
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right  # type: ignore[assignment]
-    return node.value
+def _predict(tree: tuple[np.ndarray, ...], xq: np.ndarray) -> np.ndarray:
+    """Each row's leaf value; a row stays at its leaf, so MAX_DEPTH hops suffice."""
+    feature, threshold, left, right, value = tree
+    rows, node = np.arange(len(xq)), np.zeros(len(xq), dtype=int)
+    for _ in range(MAX_DEPTH):
+        node = np.where(xq[rows, feature[node]] <= threshold[node], left[node], right[node])
+    return value[node]
 
 
 @dataclass
 class RandomForest:
     """Bagged regression trees exposing the Surrogate protocol."""
 
-    trees: list[_Node]
+    trees: list[tuple[np.ndarray, ...]]  # per tree, _build's five columns as arrays
 
     @classmethod
     def fit(cls, x: np.ndarray, y: np.ndarray, *, seed: int = 0) -> "RandomForest":
@@ -81,11 +77,13 @@ class RandomForest:
         trees = []
         for _ in range(N_TREES):
             idx = rng.integers(0, len(y), len(y))  # bootstrap sample
-            trees.append(_build(x[idx], y[idx], rng, depth=0))
+            nodes: list = []
+            _build(x[idx], y[idx], rng, 0, nodes)
+            trees.append(tuple(map(np.array, zip(*nodes))))
         return cls(trees=trees)
 
     def predict(self, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean and across-tree std at query points."""
         xq = np.atleast_2d(np.asarray(xq, dtype=float))
-        preds = np.array([[_predict_one(t, row) for row in xq] for t in self.trees])
+        preds = np.array([_predict(t, xq) for t in self.trees])
         return preds.mean(axis=0), np.maximum(preds.std(axis=0), 1e-9)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.cluster import CLUSTER_A
+from repro.cluster import CLUSTER_A, CLUSTER_B
 from repro.config import MINOR_POOL_CAPACITY, MemoryConfig
 from repro.experiments.common import profiled_stats, top5_threshold
 from repro.tuners.base import ConfigSpace, Objective
@@ -79,29 +79,32 @@ class TestObjective:
 class TestConfigSpace:
     def test_decode_unit_cube_corners(self):
         space = ConfigSpace(CLUSTER_A, "cache")
-        lo = space.decode(np.zeros(4))
-        hi = space.decode(np.ones(4))
+        lo, hi = space.decode(np.array([np.zeros(4), np.ones(4)]))
         assert lo.containers_per_node == 1 and hi.containers_per_node == 4
         assert lo.new_ratio == 1 and hi.new_ratio == 9
 
     def test_decode_clamps_concurrency(self):
         space = ConfigSpace(CLUSTER_A, "cache")
-        cfg = space.decode(np.array([1.0, 1.0, 0.5, 0.5]))  # n=4, p→8 clamped
+        cfg = space.decode(np.array([1.0, 1.0, 0.5, 0.5]))[0]  # n=4, p→8 clamped
         assert cfg.task_concurrency <= CLUSTER_A.max_task_concurrency(4)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_encode_decode_roundtrip(self, seed):
-        space = ConfigSpace(CLUSTER_A, "shuffle")
+        # 1,000 points per cluster and pool per seed (20,000 over the five
+        # seeds), a margin outside the cube included, plus the §6.1 grid.
         rng = np.random.default_rng(seed)
-        for cfg in space.sample(rng, 10):
-            again = space.decode(space.encode(cfg))
-            assert again.containers_per_node == cfg.containers_per_node
-            assert again.task_concurrency == cfg.task_concurrency
-            assert again.new_ratio == cfg.new_ratio
+        for cluster in (CLUSTER_A, CLUSTER_B):
+            for pool in ("cache", "shuffle"):
+                space = ConfigSpace(cluster, pool)
+                x = rng.random((1000, space.dim)) * 1.4 - 0.2
+                cfgs = space.decode(x)
+                assert cfgs == [space.decode(row)[0] for row in x]
+                for batch in (cfgs, space.grid()):
+                    assert space.decode(space.encode(batch)) == batch
 
     def test_dominant_pool_placement(self):
-        cache_cfg = ConfigSpace(CLUSTER_A, "cache").decode(np.full(4, 0.5))
-        shuffle_cfg = ConfigSpace(CLUSTER_A, "shuffle").decode(np.full(4, 0.5))
+        (cache_cfg,) = ConfigSpace(CLUSTER_A, "cache").decode(np.full(4, 0.5))
+        (shuffle_cfg,) = ConfigSpace(CLUSTER_A, "shuffle").decode(np.full(4, 0.5))
         assert cache_cfg.cache_capacity > 0 and cache_cfg.shuffle_capacity == 0.1
         assert shuffle_cfg.cache_capacity == 0.0 and shuffle_cfg.shuffle_capacity > 0
 
@@ -157,6 +160,19 @@ class TestBayesianOptimize:
         res = bayesian_optimize(obj, space, seed=0)
         assert res.fit_seconds > 0 and res.probe_seconds > 0
 
+    def test_surrogate_fit_error_propagates_after_bootstrap(self):
+        # A GP fit that fails on every lengthscale raises LinAlgError; the
+        # BO loop lets it through, with the bootstrap probes already run.
+        space = ConfigSpace(CLUSTER_A, "cache")
+        obj = Objective(workload_model("SVM"), CLUSTER_A)
+
+        def fail(x, y):
+            raise np.linalg.LinAlgError("GP fit failed on every lengthscale")
+
+        with pytest.raises(np.linalg.LinAlgError):
+            bayesian_optimize(obj, space, seed=0, bootstrap=paper_table7_samples(space), surrogate_fit=fail)
+        assert [s.config for s in obj.history] == paper_table7_samples(space)
+
     def test_rf_surrogate_plugs_in(self):
         space = ConfigSpace(CLUSTER_A, "cache")
         obj = Objective(workload_model("SVM"), CLUSTER_A)
@@ -173,8 +189,8 @@ class TestGuidedBayesianOptimize:
         space = ConfigSpace(CLUSTER_A, "cache")
         stats = profiled_stats("K-means", "A", 0)
         feats = gbo_features(space, stats, CLUSTER_A)
-        v = feats(MemoryConfig(1, 2, 0.6, 0.1, 2))
-        assert v.shape == (7,)  # 4 knobs + q1..q3
+        v = feats([MemoryConfig(1, 2, 0.6, 0.1, 2)])
+        assert v.shape == (1, 7)  # 4 knobs + q1..q3
 
     def test_runs_and_labels_policy(self):
         space = ConfigSpace(CLUSTER_A, "cache")

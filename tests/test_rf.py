@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.tuners.rf import RandomForest
+from repro.tuners.rf import MAX_DEPTH, RandomForest
 
 
 def toy(n=60, seed=0):
@@ -59,3 +59,27 @@ class TestRandomForest:
         rf = RandomForest.fit(x, y, seed=0)
         ei = expected_improvement(rf, x[:5], tau=float(y.min()))
         assert (ei >= -1e-9).all()
+
+    def test_array_traversal_matches_plain_walk(self):
+        x, y = toy(n=200)
+        rf = RandomForest.fit(x, y, seed=0)
+
+        def depth(tree):
+            feature, _, left, right, _ = tree
+            d = np.zeros(len(feature), dtype=int)
+            for i in np.flatnonzero(feature >= 0):  # a parent precedes its children
+                d[left[i]] = d[right[i]] = d[i] + 1
+            return d.max()
+
+        def walk(tree, row):
+            feature, threshold, left, right, value = tree
+            node = 0
+            while feature[node] >= 0:
+                node = left[node] if row[feature[node]] <= threshold[node] else right[node]
+            return value[node]
+
+        assert max(depth(t) for t in rf.trees) == MAX_DEPTH
+        xq = np.random.default_rng(2).random((500, 3))
+        for tree in rf.trees:
+            mean, _ = RandomForest(trees=[tree]).predict(xq)
+            assert np.array_equal(mean, [walk(tree, row) for row in xq])
