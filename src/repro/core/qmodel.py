@@ -13,36 +13,44 @@ Given a candidate configuration ``x`` and the profiled statistics of a
 """
 from __future__ import annotations
 
+import numpy as np
+
 from ..cluster import ClusterSpec
-from ..config import MemoryConfig
+from ..config import NEW_RATIO_MAX, MemoryConfig
 from ..profiler.stats import ProfileStats
 from ..simcluster.jvm import HeapGeometry
 from .relm import pool_demands
 
 
-def q_metrics(cfg: MemoryConfig, stats: ProfileStats, cluster: ClusterSpec) -> tuple[float, float, float]:
-    """Eq 8: (q1, q2, q3) for configuration ``cfg`` under ``stats``."""
-    m_h = cluster.heap_mb(cfg.containers_per_node)
-    p = cfg.task_concurrency
-    geom = HeapGeometry(m_h, cfg.new_ratio)
+def q_metrics(cfgs: list[MemoryConfig], stats: ProfileStats, cluster: ClusterSpec) -> np.ndarray:
+    """Eq 8: the (k, 3) array of (q1, q2, q3) rows for ``cfgs`` under ``stats``."""
+    knobs = [(c.containers_per_node, c.task_concurrency, c.cache_capacity, c.shuffle_capacity, c.new_ratio)
+             for c in cfgs]
+    n, p, cache, shuffle, nr = np.array(knobs, dtype=float).reshape(-1, 5).T
+    # (m_h, Old, Eden) for each (containers per node, NewRatio) pair, by
+    # the cluster's heap rule and Eq 3, looked up per config.
+    geoms = [[HeapGeometry(cluster.heap_mb(i), j) for j in range(1, NEW_RATIO_MAX + 1)]
+             for i in range(1, cluster.max_containers_per_node + 1)]
+    pools = np.array([[(g.heap_mb, g.old_mb, g.eden_mb) for g in row] for row in geoms])
+    m_h, old_mb, eden_mb = pools[n.astype(int) - 1, nr.astype(int) - 1].T
 
     # Modeled requirements (Eq 1 / Eq 2 as in the Initializer).
     m_c_req, m_s_req = pool_demands(stats, m_h)
 
     # Configured capacities.
-    m_c_x = cfg.cache_capacity * m_h
-    m_s_x = cfg.shuffle_capacity * m_h / p  # per-task grant
+    m_c_x = cache * m_h
+    m_s_x = shuffle * m_h / p  # per-task grant
 
     q1 = (
         stats.code_mb
-        + min(m_c_x, m_c_req)
-        + p * (stats.unmanaged_task_mb + min(m_s_x, m_s_req))
+        + np.minimum(m_c_x, m_c_req)
+        + p * (stats.unmanaged_task_mb + np.minimum(m_s_x, m_s_req))
     ) / m_h
 
     long_term = stats.code_mb + m_c_req
-    denom = min(geom.old_mb, m_c_x) if m_c_x > 0 else geom.old_mb
-    q2 = long_term / max(1.0, denom)
+    denom = np.where(m_c_x > 0, np.minimum(old_mb, m_c_x), old_mb)
+    q2 = long_term / np.maximum(1.0, denom)
 
-    q3 = p * min(m_s_x, m_s_req) / max(1.0, 0.5 * geom.eden_mb)
+    q3 = p * np.minimum(m_s_x, m_s_req) / np.maximum(1.0, 0.5 * eden_mb)
 
-    return float(q1), float(q2), float(q3)
+    return np.stack([q1, q2, q3], axis=1)

@@ -41,22 +41,21 @@ MAX_ITERS = 60
 DDPG_MAX_STEPS = 80
 #: Tuner seeds each black-box policy is averaged over (Figure 26 too).
 SEEDS = (0, 1, 2)
+#: The policies :func:`train_to_top5` trains; ``-RF`` swaps BO/GBO's GP
+#: for the Random Forest of §6.5 (Figure 26).
+POLICIES = ("RelM", "DDPG", "BO", "GBO", "BO-RF", "GBO-RF")
 
 
 @lru_cache(maxsize=None)
-def train_to_top5(
-    name: str, policy: str, *, seed: int = 0, surrogate: str = "GP"
-) -> tuple[float, int]:
+def train_to_top5(name: str, policy: str, seed: int, /) -> tuple[float, int]:
     """(total observation seconds, iterations) until a clean run lands in
     the top-5 percentile; caps apply if the policy never converges.
 
-    ``surrogate`` is BO/GBO's model: ``"GP"`` or the Random Forest of
-    §6.5 (``"RF"``, Figure 26). Memoised on the call as spelled: pass
-    ``seed`` and ``surrogate`` by keyword so Figures 16 and 26 share
-    their GP sessions.
+    ``policy`` is one of :data:`POLICIES`. The arguments are positional
+    only, so every call of a session is the same cache key.
     """
-    if surrogate not in ("GP", "RF"):
-        raise ValueError(f"unknown surrogate {surrogate!r}")
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
     model = workload_model(name)
     dp = dominant_pool(name)
     space = ConfigSpace(CLUSTER_A, dp)
@@ -73,20 +72,18 @@ def train_to_top5(
             objective, space, stats, default_config(name), seed=seed,
             max_steps=DDPG_MAX_STEPS, stop_runtime_sec=thr,
         )
-    elif policy in ("BO", "GBO"):
+    else:
         fit = None
-        if surrogate == "RF":
+        if policy.endswith("-RF"):
             fit = lambda x, y: RandomForest.fit(x, y, seed=seed)  # noqa: E731
         kw = dict(
             seed=seed, bootstrap=lhs_configs(space, np.random.default_rng(seed)),
             surrogate_fit=fit, max_iters=MAX_ITERS, target_runtime_sec=thr,
         )
-        if policy == "BO":
+        if policy.startswith("BO"):
             res = bayesian_optimize(objective, space, **kw)
         else:
             res = guided_bayesian_optimize(objective, space, stats, **kw)
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
     return res.total_observation_sec, res.iterations
 
 
@@ -105,7 +102,7 @@ def run() -> Table:
         ex = sum(grid_runtimes(name, "A", 0))
         for policy in ("DDPG", "BO", "GBO", "RelM"):
             seeds = SEEDS[:1] if policy == "RelM" else SEEDS
-            obs, iters = zip(*(train_to_top5(name, policy, seed=s, surrogate="GP") for s in seeds))
+            obs, iters = zip(*(train_to_top5(name, policy, s) for s in seeds))
             p_pct, p_iter = PAPER[name][policy]
             t.add(
                 application=name,

@@ -23,9 +23,9 @@ def run() -> Table:
         notes=[f"Mean over {len(SEEDS)} seeds; iterations include the 4 LHS bootstraps."],
     )
     for name in ("K-means", "SVM"):
-        for surrogate in ("GP", "RF"):
-            bo = [train_to_top5(name, "BO", seed=s, surrogate=surrogate)[1] for s in SEEDS]
-            gbo = [train_to_top5(name, "GBO", seed=s, surrogate=surrogate)[1] for s in SEEDS]
+        for surrogate, suffix in (("GP", ""), ("RF", "-RF")):
+            bo = [train_to_top5(name, "BO" + suffix, s)[1] for s in SEEDS]
+            gbo = [train_to_top5(name, "GBO" + suffix, s)[1] for s in SEEDS]
             t.add(
                 application=name,
                 surrogate=surrogate,

@@ -29,15 +29,11 @@ from ..workloads.base import WorkloadModel
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One observed probe of the configuration space."""
+class Sample(SimulatedRun):
+    """One observed probe of the configuration space: the simulated run
+    and the penalized objective fed to the model."""
 
-    config: MemoryConfig
-    runtime_sec: float  # true runtime of the run
-    objective: float  # penalized objective fed to the model
-    aborted: bool
-    failed_containers: int
-    run: SimulatedRun
+    objective: float
 
     def meets(self, target_sec: float) -> bool:
         """A clean run (not aborted, no failed container) at or under
@@ -163,14 +159,7 @@ class Objective:
             # repeated aborts do not compound geometrically.
             worst = max((s.runtime_sec for s in self.history), default=run.runtime_sec)
             obj = 2.0 * max(worst, run.runtime_sec)
-        sample = Sample(
-            config=cfg,
-            runtime_sec=run.runtime_sec,
-            objective=obj,
-            aborted=run.aborted,
-            failed_containers=run.failed_containers,
-            run=run,
-        )
+        sample = Sample(**vars(run), objective=obj)
         self.history.append(sample)
         return sample
 

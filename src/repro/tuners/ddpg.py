@@ -75,34 +75,30 @@ class _MLP:
         self._cache = (x, h1, h2, z, out)
         return out
 
-    def backward(self, grad_out: np.ndarray, lr: float) -> np.ndarray:
-        """SGD step on cached forward; returns gradient w.r.t. input."""
+    def _backprop(self, grad_out: np.ndarray) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+        """Chain rule through the cached forward: each layer's (weight,
+        bias) gradient and the gradient w.r.t. the input."""
         if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        x, h1, h2, z, out = self._cache
+            raise RuntimeError("backprop called before forward")
+        x, h1, h2, _, out = self._cache
         g = grad_out * (1.0 - out**2) if self.out_act == "tanh" else grad_out
         gw2, gb2 = h2.T @ g, g.sum(0)
         g = (g @ self.w[2].T) * (1.0 - h2**2)
         gw1, gb1 = h1.T @ g, g.sum(0)
         g = (g @ self.w[1].T) * (1.0 - h1**2)
-        gw0, gb0 = x.T @ g, g.sum(0)
-        g_in = g @ self.w[0].T
-        n = len(x)
-        for w, gw in zip(self.w, (gw0, gw1, gw2)):
+        return [(x.T @ g, g.sum(0)), (gw1, gb1), (gw2, gb2)], g @ self.w[0].T
+
+    def backward(self, grad_out: np.ndarray, lr: float) -> None:
+        """SGD step on the cached forward."""
+        grads, _ = self._backprop(grad_out)
+        n = len(self._cache[0])
+        for w, b, (gw, gb) in zip(self.w, self.b, grads):
             w -= lr * gw / n
-        for b, gb in zip(self.b, (gb0, gb1, gb2)):
             b -= lr * gb / n
-        return g_in
 
     def input_gradient(self, grad_out: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. input without touching the weights."""
-        if self._cache is None:
-            raise RuntimeError("input_gradient called before forward")
-        x, h1, h2, z, out = self._cache
-        g = grad_out * (1.0 - out**2) if self.out_act == "tanh" else grad_out
-        g = (g @ self.w[2].T) * (1.0 - h2**2)
-        g = (g @ self.w[1].T) * (1.0 - h1**2)
-        return g @ self.w[0].T
+        return self._backprop(grad_out)[-1]
 
     def copy_from(self, other: "_MLP", tau: float = 1.0) -> None:
         for i in range(3):
@@ -130,14 +126,13 @@ def cdbtune_reward(runtime0: float, runtime_prev: float, runtime_t: float) -> fl
 
 def state_vector(sample: Sample, stats: ProfileStats, cluster: ClusterSpec) -> np.ndarray:
     """CDBTune-style resource-metric state, plus Q-model pool metrics."""
-    q = np.clip(q_metrics(sample.config, stats, cluster), 0.0, Q_CLIP) / Q_CLIP
-    r = sample.run
+    q = np.clip(q_metrics([sample.config], stats, cluster)[0], 0.0, Q_CLIP) / Q_CLIP
     usage = [
-        r.cpu_avg_pct / 100.0,
-        r.disk_avg_pct / 100.0,
-        r.layout.cache_hit_ratio,
-        r.layout.spill_fraction,
-        r.gc_overhead,
+        sample.cpu_avg_pct / 100.0,
+        sample.disk_avg_pct / 100.0,
+        sample.layout.cache_hit_ratio,
+        sample.layout.spill_fraction,
+        sample.gc_overhead,
     ]
     return np.concatenate([usage, q])
 

@@ -27,7 +27,7 @@ def gbo_features(space: ConfigSpace, stats: ProfileStats, cluster: ClusterSpec):
     """Feature function: a row x ⊕ q(x)/Q_CLIP per config, all roughly in [0, 1]."""
 
     def feats(cfgs: list[MemoryConfig]) -> np.ndarray:
-        q = np.array([q_metrics(cfg, stats, cluster) for cfg in cfgs])
+        q = q_metrics(cfgs, stats, cluster)
         return np.hstack([space.encode(cfgs), np.clip(q, 0.0, Q_CLIP) / Q_CLIP])
 
     return feats

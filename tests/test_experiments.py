@@ -155,9 +155,9 @@ class TestTpchRelm:
 
 
 class TestFig16:
-    def test_rejects_unknown_surrogate(self):
-        with pytest.raises(ValueError, match="surrogate"):
-            fig16_overheads.train_to_top5("SVM", "BO", surrogate="XGB")
+    def test_rejects_unknown_policy(self):
+        with pytest.raises(ValueError, match="policy"):
+            fig16_overheads.train_to_top5("SVM", "BO-XGB", 0)
 
     def test_fig26_gp_session_hits_fig16_cache(self, monkeypatch):
         # Record how each figure spells its train_to_top5 calls, then

@@ -63,23 +63,28 @@ class TestModelValidation:
         assert workload_module("PageRank").MODEL.n_partitions == 32
 
 
-@pytest.mark.parametrize("name", ["WordCount", "SortByKey", "K-means", "SVM", "PageRank", "TPC-H"])
+@pytest.fixture(scope="module", params=["WordCount", "SortByKey", "K-means", "SVM", "PageRank", "TPC-H"])
+def measured(request, spark):
+    """(workload name, its live tiny-SF measurement), measured once for
+    both tests of :class:`TestLiveMeasurementBands`."""
+    name = request.param
+    return name, workload_module(name).measure(spark, sf=SF if name != "TPC-H" else 0.002)
+
+
 class TestLiveMeasurementBands:
     """The frozen MODEL constants vs a live tiny-SF measurement."""
 
-    def test_measure_runs_and_is_consistent(self, spark, name):
-        mod = workload_module(name)
-        m = mod.measure(spark, sf=SF if name != "TPC-H" else 0.002)
+    def test_measure_runs_and_is_consistent(self, measured):
+        _, m = measured
         assert m.rows > 0 and m.input_mb > 0 and m.wall_sec > 0
 
-    def test_frozen_model_within_band(self, spark, name):
+    def test_frozen_model_within_band(self, measured):
         # Extrapolate the live measurement to paper scale and require
         # the frozen constants to agree within a factor of 8 — wide
         # enough for host variance, tight enough to catch a model
         # decoupled from the real job (e.g. 100x off).
-        mod = workload_module(name)
-        model: WorkloadModel = mod.MODEL
-        m = mod.measure(spark, sf=SF if name != "TPC-H" else 0.002)
+        name, m = measured
+        model: WorkloadModel = workload_module(name).MODEL
         derived = scale_measurement(
             m, target_input_mb=model.input_mb, partition_mb=model.partition_mb
         )
