@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cluster import ClusterSpec
 
 #: §6.1 — NewRatio is capped at 9 so Young keeps >=10% of heap.
@@ -69,6 +71,31 @@ class MemoryConfig:
             "shuffle_capacity": round(self.shuffle_capacity, 2),
             "new_ratio": self.new_ratio,
         }
+
+
+def config_rows(cfgs: list[MemoryConfig]) -> np.ndarray:
+    """The (k, 5) float rows of ``cfgs`` in field order (n, p, cache,
+    shuffle, NewRatio): the batch form the tuners search over."""
+    knobs = [(c.containers_per_node, c.task_concurrency, c.cache_capacity, c.shuffle_capacity, c.new_ratio)
+             for c in cfgs]
+    return np.array(knobs, dtype=float).reshape(-1, 5)
+
+
+def check_rows(rows: np.ndarray) -> None:
+    """:class:`MemoryConfig`'s checks over a (k, 5) batch of rows, so a
+    batch that is never turned into configs is held to the same rules."""
+    n, p, cache, shuffle, nr = np.asarray(rows, dtype=float).reshape(-1, 5).T
+    if (n < 1).any():
+        raise ValueError("containers_per_node must be >= 1")
+    if (p < 1).any():
+        raise ValueError("task_concurrency must be >= 1")
+    for name, v in (("cache_capacity", cache), ("shuffle_capacity", shuffle)):
+        if not ((0.0 <= v) & (v <= 1.0)).all():
+            raise ValueError(f"{name} must be in [0, 1]")
+    if (cache + shuffle > 1.0 + 1e-9).any():
+        raise ValueError("unified pool (cache+shuffle) cannot exceed heap")
+    if not ((NEW_RATIO_MIN <= nr) & (nr <= NEW_RATIO_MAX)).all():
+        raise ValueError("new_ratio must be in [1, 9]")
 
 
 def max_resource_allocation(cluster: ClusterSpec) -> MemoryConfig:

@@ -16,17 +16,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster import ClusterSpec
-from ..config import NEW_RATIO_MAX, MemoryConfig
+from ..config import NEW_RATIO_MAX
 from ..profiler.stats import ProfileStats
 from ..simcluster.jvm import HeapGeometry
 from .relm import pool_demands
 
 
-def q_metrics(cfgs: list[MemoryConfig], stats: ProfileStats, cluster: ClusterSpec) -> np.ndarray:
-    """Eq 8: the (k, 3) array of (q1, q2, q3) rows for ``cfgs`` under ``stats``."""
-    knobs = [(c.containers_per_node, c.task_concurrency, c.cache_capacity, c.shuffle_capacity, c.new_ratio)
-             for c in cfgs]
-    n, p, cache, shuffle, nr = np.array(knobs, dtype=float).reshape(-1, 5).T
+def q_metrics(rows: np.ndarray, stats: ProfileStats, cluster: ClusterSpec) -> np.ndarray:
+    """Eq 8: the (k, 3) array of (q1, q2, q3) for (k, 5) configuration
+    rows (:func:`~repro.config.config_rows`) under ``stats``."""
+    n, p, cache, shuffle, nr = np.asarray(rows, dtype=float).reshape(-1, 5).T
     # (m_h, Old, Eden) for each (containers per node, NewRatio) pair, by
     # the cluster's heap rule and Eq 3, looked up per config.
     geoms = [[HeapGeometry(cluster.heap_mb(i), j) for j in range(1, NEW_RATIO_MAX + 1)]

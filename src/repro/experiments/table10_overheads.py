@@ -66,9 +66,9 @@ def measure() -> dict[str, dict[str, str]]:
 
     # A representative training set.
     objective = Objective(model, CLUSTER_A)
-    for cfg in space.decode(rng.random((N_TRAIN, space.dim))):
+    train = space.decode(rng.random((N_TRAIN, space.dim)))
+    for cfg in space.configs(train):
         objective(cfg)
-    configs = [s.config for s in objective.history]
     y = np.log([s.objective for s in objective.history])
     cands = space.decode(rng.random((600, space.dim)))
 
@@ -94,13 +94,13 @@ def measure() -> dict[str, dict[str, str]]:
     }
 
     # --- BO and GBO (GBO adds the q-feature dimensionality). Each probe
-    # builds its candidates' features inside the timed call, as the BO
-    # loop does every iteration.
+    # builds its candidates' features from their rows inside the timed
+    # call, as the BO loop does every iteration.
     for policy, feature, stats_cell in (
         ("BO", space.encode, "n/a"),
         ("GBO", gbo_features(space, stats, CLUSTER_A), f"{stats_ms:.2f}ms"),
     ):
-        x = feature(configs)
+        x = feature(train)
         gp = GaussianProcess.fit(x, y)
         probe_ms = _time(
             lambda: expected_improvement(gp, feature(cands), float(y.min()))

@@ -11,6 +11,7 @@ exploration (§6.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from ..config import (
     NEW_RATIO_MAX,
     NEW_RATIO_MIN,
     MemoryConfig,
+    check_rows,
 )
 from ..simcluster.runtime import SimulatedRun, simulate
 from ..workloads.base import WorkloadModel
@@ -64,10 +66,12 @@ class TuningResult:
 class ConfigSpace:
     """The §6.1 tuning space with a [0,1]^4 continuous encoding.
 
-    :meth:`config` is the one place §6.1 knob values become a
-    :class:`MemoryConfig`; the discrete grid (:meth:`grid`), the
-    continuous encoding (:meth:`decode`) and the Table 7 bootstrap all go
-    through it.
+    Batches of configurations are (k, 5) float rows in
+    :class:`MemoryConfig` field order (n, p, cache, shuffle, NewRatio),
+    and :meth:`configs` is the one place rows become configurations.
+    The discrete grid (:meth:`grid_rows`), the continuous encoding
+    (:meth:`decode`) and single knob values (:meth:`config`) all build
+    their rows with the same Task Concurrency cap and pool placement.
 
     Encoding order: (containers_per_node, task_concurrency,
     dominant_pool_fraction, new_ratio). Decoding clamps Task Concurrency
@@ -87,55 +91,88 @@ class ConfigSpace:
         #: The §6.1 box: each encoded coordinate is (knob − lo) / (hi − lo).
         self.lo = np.array([1, 1, self.FRAC_MIN, NEW_RATIO_MIN])
         self.hi = np.array([cluster.max_containers_per_node, cluster.cores_per_node, self.FRAC_MAX, NEW_RATIO_MAX])
+        #: The row columns the encoding reads: n, p, the dominant pool, NewRatio.
+        self._knob_cols = [0, 1, 2 if dominant_pool == "cache" else 3, 4]
+        #: Task Concurrency cap per Containers per Node (index n; 0 unused).
+        self._p_cap = np.array([0] + [cluster.max_task_concurrency(n)
+                                      for n in range(1, cluster.max_containers_per_node + 1)])
+
+    def _rows(self, n, p, frac, nr) -> np.ndarray:
+        """(k, 5) rows for knob columns. Task Concurrency is capped at
+        cores/containers. ``frac`` sizes the dominant pool; the minor one
+        is pinned at :data:`MINOR_POOL_CAPACITY` for cache-heavy apps,
+        and shuffle-only apps get no cache at all."""
+        n, p, frac, nr = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (n, p, frac, nr)))
+        if not ((1 <= n) & (n < len(self._p_cap))).all():
+            raise ValueError("containers_per_node out of range")
+        p = np.minimum(p, self._p_cap[n.astype(int)])
+        if self.dominant_pool == "cache":
+            cache, shuffle = frac, np.full_like(frac, MINOR_POOL_CAPACITY)
+        else:
+            cache, shuffle = np.zeros_like(frac), frac
+        return np.stack([n, p, cache, shuffle, nr], axis=-1).reshape(-1, 5)
+
+    def configs(self, rows: np.ndarray) -> list[MemoryConfig]:
+        """The :class:`MemoryConfig` of each row."""
+        return [MemoryConfig(int(n), int(p), cache, shuffle, int(nr))
+                for n, p, cache, shuffle, nr in np.asarray(rows, dtype=float).reshape(-1, 5).tolist()]
 
     def config(self, n: int, p: int, frac: float, nr: int) -> MemoryConfig:
-        """The configuration for §6.1 knob values.
+        """The configuration for §6.1 knob values."""
+        return self.configs(self._rows(n, p, frac, nr))[0]
 
-        Task Concurrency is capped at cores/containers. ``frac`` sizes
-        the dominant pool; the minor one is pinned at
-        :data:`MINOR_POOL_CAPACITY` for cache-heavy apps, and
-        shuffle-only apps get no cache at all.
-        """
-        p = min(p, self.cluster.max_task_concurrency(n))
-        if self.dominant_pool == "cache":
-            cache, shuffle = frac, MINOR_POOL_CAPACITY
-        else:
-            cache, shuffle = 0.0, frac
-        return MemoryConfig(
-            containers_per_node=n,
-            task_concurrency=p,
-            cache_capacity=cache,
-            shuffle_capacity=shuffle,
-            new_ratio=nr,
-        )
-
-    def grid(self) -> list[MemoryConfig]:
+    def grid_rows(self) -> np.ndarray:
         """The Exhaustive Search grid (§6.1: 4 values per knob, only the
         dominant pool varied), skipping Task Concurrency values above
-        the core cap — 176 configurations on Cluster A."""
-        return [
-            self.config(n, p, frac, nr)
-            for n in range(1, self.cluster.max_containers_per_node + 1)
-            for p in GRID_TASK_CONCURRENCY
-            if p <= self.cluster.max_task_concurrency(n)
-            for frac in GRID_POOL_FRACTIONS
-            for nr in GRID_NEW_RATIOS
-        ]
+        the core cap — 176 rows on Cluster A."""
+        n, p, frac, nr = np.array(list(product(
+            range(1, self.cluster.max_containers_per_node + 1),
+            GRID_TASK_CONCURRENCY, GRID_POOL_FRACTIONS, GRID_NEW_RATIOS,
+        )), dtype=float).T
+        keep = p <= self._p_cap[n.astype(int)]
+        return self._rows(n[keep], p[keep], frac[keep], nr[keep])
 
-    def decode(self, x: np.ndarray) -> list[MemoryConfig]:
-        """Map each row of a (k, 4) array of unit-cube points to a valid
-        MemoryConfig; points outside the cube are clamped to it."""
+    def grid(self) -> list[MemoryConfig]:
+        """The configurations of :meth:`grid_rows`."""
+        return self.configs(self.grid_rows())
+
+    def decode(self, x: np.ndarray) -> np.ndarray:
+        """The (k, 5) rows of a (k, 4) array of unit-cube points; points
+        outside the cube are clamped to it. Knobs round as Python's
+        ``round`` does: half to even, the pool fraction to 0.01."""
         x = np.clip(np.atleast_2d(np.asarray(x, dtype=float)), 0.0, 1.0)
-        knobs = self.lo + x * (self.hi - self.lo)
-        return [self.config(int(round(n)), int(round(p)), round(f, 2), int(round(nr)))
-                for n, p, f, nr in knobs.tolist()]
+        n, p, frac, nr = (self.lo + x * (self.hi - self.lo)).T
+        rows = self._rows(np.rint(n), np.rint(p), _round_cents(frac), np.rint(nr))
+        check_rows(rows)
+        return rows
 
-    def encode(self, cfgs: list[MemoryConfig]) -> np.ndarray:
-        """The (k, 4) unit-cube points of ``cfgs``; inverse of
-        :meth:`decode` on every configuration it returns."""
-        pool = f"{self.dominant_pool}_capacity"
-        knobs = np.array([(c.containers_per_node, c.task_concurrency, getattr(c, pool), c.new_ratio) for c in cfgs])
+    def encode(self, rows: np.ndarray) -> np.ndarray:
+        """The (k, 4) unit-cube points of (k, 5) rows; inverse of
+        :meth:`decode` on every row it returns."""
+        knobs = np.asarray(rows, dtype=float).reshape(-1, 5)[:, self._knob_cols]
         return ((knobs - self.lo) / (self.hi - self.lo)).clip(0.0, 1.0)
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        """One int64 per row, equal exactly when the rows are, for rows
+        of this space (:meth:`decode`, :meth:`grid_rows`): pool fractions
+        on the 0.01 lattice, Task Concurrency at most the core count."""
+        n, p, cache, shuffle, nr = np.asarray(rows, dtype=float).reshape(-1, 5).T
+        key = (((n * (self.cluster.cores_per_node + 1) + p) * 101 + np.rint(100 * cache)) * 101
+               + np.rint(100 * shuffle)) * (NEW_RATIO_MAX + 1) + nr
+        return key.astype(np.int64)
+
+
+def _round_cents(v: np.ndarray) -> np.ndarray:
+    """``round(x, 2)`` of each value, exactly. Scaling by 100 first (as
+    ``np.round`` does) can push a value within an ulp of a half cent to
+    the wrong side, so those go through Python's correctly rounded
+    ``round``; everywhere else ``rint(100 x) / 100`` is the same double."""
+    scaled = 100 * v
+    out = np.rint(scaled) / 100
+    near = np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6
+    if near.any():
+        out[near] = [round(x, 2) for x in v[near].tolist()]
+    return out
 
 
 @dataclass

@@ -9,8 +9,12 @@ CherryPick rule (§5.1/§6.2): expected improvement below 10% of the
 incumbent **and** at least 6 adaptive samples observed.
 
 ``feature_fn`` lets GBO inject the white-box Q metrics as extra
-surrogate inputs without duplicating the loop; ``surrogate`` swaps the
-GP for the Random-Forest model of §6.5.
+surrogate inputs without duplicating the loop; ``surrogate_fit`` swaps
+the GP for the Random-Forest model of §6.5.
+
+The acquisition search keeps its candidates as one (k, 5) array of
+configuration rows (:meth:`~repro.tuners.base.ConfigSpace.decode`);
+only the candidate picked for probing becomes a :class:`MemoryConfig`.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from ..config import MemoryConfig
+from ..config import MemoryConfig, config_rows
 from .base import ConfigSpace, Objective, TuningResult
 from .gp import GaussianProcess, expected_improvement
 from .lhs import lhs_configs
@@ -50,7 +54,7 @@ def bayesian_optimize(
     space: ConfigSpace,
     *,
     seed: int = 0,
-    feature_fn: Callable[[list[MemoryConfig]], np.ndarray] | None = None,
+    feature_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     bootstrap: list[MemoryConfig] | None = None,
     surrogate_fit: Callable[[np.ndarray, np.ndarray], Surrogate] | None = None,
     max_iters: int = DEFAULT_MAX_ITERS,
@@ -62,6 +66,8 @@ def bayesian_optimize(
     replaced by "stop at the first clean run at or under the target" —
     the §6.2 protocol of training each policy until it finds a
     configuration within the top 5 percentile of Exhaustive Search.
+    ``feature_fn`` maps (k, 5) configuration rows to the surrogate's
+    (k, d) inputs; the default is the unit-cube encoding.
     """
     rng = np.random.default_rng(seed)
     feats = feature_fn or space.encode
@@ -77,12 +83,13 @@ def bayesian_optimize(
     for cfg in boot:
         objective(cfg)
 
-    grid = space.grid()
+    grid = space.grid_rows()
     fit_sec = probe_sec = 0.0
     adaptive = 0
     best_trace: list[float] = []
     while adaptive < max_iters:
-        x = feats([s.config for s in objective.history])
+        observed = config_rows([s.config for s in objective.history])
+        x = feats(observed)
         y = np.log(np.maximum(1e-3, [s.objective for s in objective.history]))
 
         t0 = time.perf_counter()
@@ -93,29 +100,31 @@ def bayesian_optimize(
         # Random sweep + the discrete §6.1 grid + local refinement
         # around the incumbent (the random + gradient-search combo of
         # §5.1, adapted to a mixed discrete/continuous space).
-        inc = space.encode([objective.best().config])
-        cands = (
-            space.decode(rng.random((N_CANDIDATES, space.dim)))
-            + grid
-            + space.decode(inc + rng.normal(0.0, NEIGHBOR_STEP, (N_NEIGHBORS, space.dim)))
-        )
-        cands = list(dict.fromkeys(cands))
+        inc = space.encode(config_rows([objective.best().config]))
+        cands = np.vstack([
+            space.decode(rng.random((N_CANDIDATES, space.dim))),
+            grid,
+            space.decode(inc + rng.normal(0.0, NEIGHBOR_STEP, (N_NEIGHBORS, space.dim))),
+        ])
+        # Drop repeats, keeping each row's first occurrence in order.
+        _, first = np.unique(space.keys(cands), return_index=True)
+        cands = cands[np.sort(first)]
         xq = feats(cands)
         tau = float(min(y))
         ei = expected_improvement(model, xq, tau)  # works for any Surrogate
         order = np.argsort(-ei)
         probe_sec += time.perf_counter() - t0
 
-        # Probe the best not-yet-observed candidate.
-        observed = {s.config for s in objective.history}
-        pick: MemoryConfig | None = None
-        pick_ei = 0.0
-        for i in order:
-            if cands[i] not in observed:
-                pick, pick_ei = cands[i], float(ei[i])
-                break
-        if pick is None:
+        # Probe the best not-yet-observed candidate. Observed rows are
+        # matched exactly, not by key: a bootstrap config may lie off the
+        # 0.01 lattice the keys assume.
+        seen = set(map(tuple, observed.tolist()))
+        fresh = (i for i in order if tuple(cands[i].tolist()) not in seen)
+        i = next(fresh, None)
+        if i is None:
             break
+        pick_ei = float(ei[i])
+        (pick,) = space.configs(cands[i])
         picked = objective(pick)
         adaptive += 1
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cluster import ClusterSpec
-from ..config import MemoryConfig
+from ..config import MemoryConfig, config_rows
 from ..core.qmodel import q_metrics
 from ..profiler.stats import ProfileStats
 from .base import ConfigSpace, Objective, Sample, TuningResult
@@ -126,7 +126,7 @@ def cdbtune_reward(runtime0: float, runtime_prev: float, runtime_t: float) -> fl
 
 def state_vector(sample: Sample, stats: ProfileStats, cluster: ClusterSpec) -> np.ndarray:
     """CDBTune-style resource-metric state, plus Q-model pool metrics."""
-    q = np.clip(q_metrics([sample.config], stats, cluster)[0], 0.0, Q_CLIP) / Q_CLIP
+    q = np.clip(q_metrics(config_rows([sample.config]), stats, cluster)[0], 0.0, Q_CLIP) / Q_CLIP
     usage = [
         sample.cpu_avg_pct / 100.0,
         sample.disk_avg_pct / 100.0,
@@ -227,7 +227,7 @@ def ddpg_tune(
             action = rng.uniform(-1.0, 1.0, space.dim)
         else:
             action = np.clip(agent.act(state) + ou, -1.0, 1.0)
-        cfg = space.decode((action + 1.0) / 2.0)[0]
+        (cfg,) = space.configs(space.decode((action + 1.0) / 2.0))
         sample = objective(cfg)
         reward = cdbtune_reward(runtime0, prev_runtime, sample.objective)
         next_state = state_vector(sample, stats, objective.cluster)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster import ClusterSpec
-from ..config import MemoryConfig
 from ..core.qmodel import q_metrics
 from ..profiler.stats import ProfileStats
 from .base import ConfigSpace, Objective, TuningResult
@@ -24,11 +23,12 @@ Q_CLIP = 4.0
 
 
 def gbo_features(space: ConfigSpace, stats: ProfileStats, cluster: ClusterSpec):
-    """Feature function: a row x ⊕ q(x)/Q_CLIP per config, all roughly in [0, 1]."""
+    """Feature function: for (k, 5) configuration rows, a row
+    x ⊕ q(x)/Q_CLIP each, all roughly in [0, 1]."""
 
-    def feats(cfgs: list[MemoryConfig]) -> np.ndarray:
-        q = q_metrics(cfgs, stats, cluster)
-        return np.hstack([space.encode(cfgs), np.clip(q, 0.0, Q_CLIP) / Q_CLIP])
+    def feats(rows: np.ndarray) -> np.ndarray:
+        q = q_metrics(rows, stats, cluster)
+        return np.hstack([space.encode(rows), np.clip(q, 0.0, Q_CLIP) / Q_CLIP])
 
     return feats
 

@@ -26,7 +26,7 @@ def latin_hypercube(rng: np.random.Generator, k: int, dim: int) -> np.ndarray:
 
 def lhs_configs(space: ConfigSpace, rng: np.random.Generator, k: int = 4) -> list[MemoryConfig]:
     """k LHS bootstrap configurations in ``space``."""
-    return space.decode(latin_hypercube(rng, k, space.dim))
+    return space.configs(space.decode(latin_hypercube(rng, k, space.dim)))
 
 
 def paper_table7_samples(space: ConfigSpace) -> list[MemoryConfig]:

@@ -1,11 +1,13 @@
 """BO / GBO tuning loops (§5.1, §5.2) and the objective runner."""
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.cluster import CLUSTER_A, CLUSTER_B
-from repro.config import MINOR_POOL_CAPACITY, MemoryConfig
+from repro.config import MINOR_POOL_CAPACITY, MemoryConfig, config_rows
+from repro.experiments import fig16_overheads
 from repro.experiments.common import profiled_stats, top5_threshold
 from repro.tuners.base import ConfigSpace, Objective
 from repro.tuners.bo import MIN_ADAPTIVE_SAMPLES, bayesian_optimize
@@ -79,13 +81,13 @@ class TestObjective:
 class TestConfigSpace:
     def test_decode_unit_cube_corners(self):
         space = ConfigSpace(CLUSTER_A, "cache")
-        lo, hi = space.decode(np.array([np.zeros(4), np.ones(4)]))
+        lo, hi = space.configs(space.decode(np.array([np.zeros(4), np.ones(4)])))
         assert lo.containers_per_node == 1 and hi.containers_per_node == 4
         assert lo.new_ratio == 1 and hi.new_ratio == 9
 
     def test_decode_clamps_concurrency(self):
         space = ConfigSpace(CLUSTER_A, "cache")
-        cfg = space.decode(np.array([1.0, 1.0, 0.5, 0.5]))[0]  # n=4, p→8 clamped
+        (cfg,) = space.configs(space.decode(np.array([1.0, 1.0, 0.5, 0.5])))  # n=4, p→8 clamped
         assert cfg.task_concurrency <= CLUSTER_A.max_task_concurrency(4)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -97,14 +99,17 @@ class TestConfigSpace:
             for pool in ("cache", "shuffle"):
                 space = ConfigSpace(cluster, pool)
                 x = rng.random((1000, space.dim)) * 1.4 - 0.2
-                cfgs = space.decode(x)
-                assert cfgs == [space.decode(row)[0] for row in x]
-                for batch in (cfgs, space.grid()):
-                    assert space.decode(space.encode(batch)) == batch
+                rows = space.decode(x)
+                assert rows.shape == (1000, 5)
+                assert rows.tolist() == [space.decode(row)[0].tolist() for row in x]
+                for batch in (rows, space.grid_rows()):
+                    assert np.array_equal(space.decode(space.encode(batch)), batch)
+                    assert np.array_equal(config_rows(space.configs(batch)), batch)
 
     def test_dominant_pool_placement(self):
-        (cache_cfg,) = ConfigSpace(CLUSTER_A, "cache").decode(np.full(4, 0.5))
-        (shuffle_cfg,) = ConfigSpace(CLUSTER_A, "shuffle").decode(np.full(4, 0.5))
+        cache_space, shuffle_space = ConfigSpace(CLUSTER_A, "cache"), ConfigSpace(CLUSTER_A, "shuffle")
+        (cache_cfg,) = cache_space.configs(cache_space.decode(np.full(4, 0.5)))
+        (shuffle_cfg,) = shuffle_space.configs(shuffle_space.decode(np.full(4, 0.5)))
         assert cache_cfg.cache_capacity > 0 and cache_cfg.shuffle_capacity == 0.1
         assert shuffle_cfg.cache_capacity == 0.0 and shuffle_cfg.shuffle_capacity > 0
 
@@ -118,6 +123,67 @@ class TestConfigSpace:
     def test_config_caps_concurrency_and_places_pools(self, pool, cache, shuffle):
         cfg = ConfigSpace(CLUSTER_A, pool).config(4, 8, 0.6, 7)
         assert cfg == MemoryConfig(4, CLUSTER_A.max_task_concurrency(4), cache, shuffle, 7)
+
+    def test_config_rejects_containers_out_of_range(self):
+        with pytest.raises(ValueError, match="containers_per_node"):
+            ConfigSpace(CLUSTER_A, "cache").config(CLUSTER_A.max_containers_per_node + 1, 1, 0.6, 7)
+
+    def test_keys_equal_exactly_when_rows_are(self):
+        rng = np.random.default_rng(0)
+        for pool in ("cache", "shuffle"):
+            space = ConfigSpace(CLUSTER_B, pool)
+            rows = np.vstack([space.decode(rng.random((3000, space.dim))), space.grid_rows()])
+            keys = space.keys(rows).tolist()
+            by_key = dict(zip(keys, map(tuple, rows.tolist())))
+            assert len(by_key) == len(set(map(tuple, rows.tolist())))
+            assert all(by_key[k] == tuple(r) for k, r in zip(keys, rows.tolist()))
+
+
+def decode_reference(space: ConfigSpace, x: np.ndarray) -> list[list]:
+    """:meth:`ConfigSpace.decode` one row at a time in plain Python: the
+    reference the column-wise decode must match exactly."""
+    knobs = space.lo + np.clip(x, 0.0, 1.0) * (space.hi - space.lo)
+    rows = []
+    for n, p, frac, nr in knobs.tolist():
+        n = int(round(n))
+        p = min(int(round(p)), space.cluster.max_task_concurrency(n))
+        frac = round(frac, 2)
+        cache, shuffle = (frac, MINOR_POOL_CAPACITY) if space.dominant_pool == "cache" else (0.0, frac)
+        rows.append([n, p, cache, shuffle, int(round(nr))])
+    return rows
+
+
+class TestDecodeRounding:
+    """The column-wise decode rounds as Python's ``round`` does."""
+
+    SPACES = [(c, pool) for c in (CLUSTER_A, CLUSTER_B) for pool in ("cache", "shuffle")]
+    IDS = [f"{c.name}-{pool}" for c, pool in SPACES]
+
+    @pytest.mark.parametrize("cluster,pool", SPACES, ids=IDS)
+    def test_random_points_match_reference(self, cluster, pool):
+        space = ConfigSpace(cluster, pool)
+        x = np.random.default_rng(1).random((200_000, space.dim)) * 1.4 - 0.2
+        assert space.decode(x).tolist() == decode_reference(space, x)
+
+    @pytest.mark.parametrize("cluster,pool", SPACES, ids=IDS)
+    def test_half_cent_ties_match_reference(self, cluster, pool):
+        # Pool fractions (j + ½)/100 over the §6.1 range and their
+        # neighbouring doubles, mapped back into the unit cube, with a few
+        # ulps either side of each encoded point.
+        space = ConfigSpace(cluster, pool)
+        lo, hi = space.FRAC_MIN, space.FRAC_MAX
+        ties = (np.arange(round(100 * lo), round(100 * hi)) + 0.5) / 100
+        fracs = np.concatenate([ties, np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf)])
+        u = (fracs - lo) / (hi - lo)
+        u = np.concatenate([u] + [u + k * np.spacing(u) for k in (-2, -1, 1, 2)])
+        x = np.tile(np.random.default_rng(2).random(space.dim), (len(u), 1))
+        x[:, 2] = u
+        ref = decode_reference(space, x)
+        assert space.decode(x).tolist() == ref
+        # The points do reach the cases a scaled np.round gets wrong.
+        frac = (space.lo + np.clip(x, 0.0, 1.0) * (space.hi - space.lo))[:, 2]
+        col = 2 if pool == "cache" else 3
+        assert (np.round(frac, 2) != np.array(ref)[:, col]).any()
 
 
 class TestBayesianOptimize:
@@ -184,12 +250,37 @@ class TestBayesianOptimize:
         assert res.iterations >= 4
 
 
+class TestSessionFingerprint:
+    def test_sessions_are_bit_identical(self, monkeypatch):
+        # Every sample of Figure 16's BO, GBO, BO-RF, GBO-RF and DDPG
+        # sessions on four apps (seed 0), hashed down to the bit: the
+        # golden tables see only rounded values, so a one-ulp drift in
+        # the candidate path would pass them but not this.
+        lines = []
+
+        class Recording(Objective):
+            def __call__(self, cfg):
+                s = super().__call__(cfg)
+                lines.append(f"{cfg!r} {s.runtime_sec.hex()} {s.objective.hex()} {s.aborted} {s.failed_containers}")
+                return s
+
+        monkeypatch.setattr(fig16_overheads, "Objective", Recording)
+        for app in ("WordCount", "SortByKey", "K-means", "SVM"):
+            for policy in ("BO", "GBO", "BO-RF", "GBO-RF", "DDPG"):
+                lines.append(f"{app} {policy}")
+                fig16_overheads.train_to_top5.__wrapped__(app, policy, 0)
+        assert len(lines) == 326
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "5d21b8417d7b9fe7fe28156108149cf1adf168cf94c5244654939c649181b147"
+        )
+
+
 class TestGuidedBayesianOptimize:
     def test_features_include_q(self):
         space = ConfigSpace(CLUSTER_A, "cache")
         stats = profiled_stats("K-means", "A", 0)
         feats = gbo_features(space, stats, CLUSTER_A)
-        v = feats([MemoryConfig(1, 2, 0.6, 0.1, 2)])
+        v = feats(config_rows([MemoryConfig(1, 2, 0.6, 0.1, 2)]))
         assert v.shape == (1, 7)  # 4 knobs + q1..q3
 
     def test_runs_and_labels_policy(self):

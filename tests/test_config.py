@@ -1,6 +1,7 @@
 """MemoryConfig validation, defaults (Table 4), and the §6.1 grid."""
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.cluster import CLUSTER_A, CLUSTER_B
@@ -9,6 +10,8 @@ from repro.config import (
     GRID_POOL_FRACTIONS,
     MINOR_POOL_CAPACITY,
     MemoryConfig,
+    check_rows,
+    config_rows,
     max_resource_allocation,
 )
 from repro.tuners.base import ConfigSpace
@@ -59,6 +62,37 @@ class TestMemoryConfigValidation:
             "containers_per_node", "task_concurrency", "cache_capacity",
             "shuffle_capacity", "new_ratio",
         }
+
+
+class TestRowValidation:
+    """:func:`check_rows` holds a batch of rows to MemoryConfig's rules."""
+
+    VALID = (1, 2, 0.4, 0.2, 2)
+
+    @pytest.mark.parametrize(
+        "row,rule",
+        [
+            pytest.param((0, 2, 0.4, 0.2, 2), "containers_per_node", id="containers"),
+            pytest.param((1, 0, 0.4, 0.2, 2), "task_concurrency", id="concurrency"),
+            pytest.param((1, 2, 1.1, 0.0, 2), "cache_capacity", id="pool-range"),
+            pytest.param((1, 2, 0.7, 0.5, 2), "unified pool", id="pool-overflow"),
+            pytest.param((1, 2, 0.4, 0.2, 10), "new_ratio", id="new-ratio"),
+        ],
+    )
+    def test_rejects_what_memory_config_rejects(self, row, rule):
+        with pytest.raises(ValueError, match=rule):
+            MemoryConfig(*row)
+        with pytest.raises(ValueError, match=rule):
+            check_rows(np.array([self.VALID, row, self.VALID], dtype=float))
+
+    def test_accepts_the_grid(self):
+        for pool in ("cache", "shuffle"):
+            check_rows(ConfigSpace(CLUSTER_B, pool).grid_rows())
+
+    def test_config_rows_in_field_order(self):
+        cfgs = [MemoryConfig(*self.VALID), MemoryConfig(4, 8, 0.0, 0.6, 9)]
+        assert config_rows(cfgs).tolist() == [list(self.VALID), [4, 8, 0.0, 0.6, 9]]
+        assert config_rows([]).shape == (0, 5)
 
 
 class TestDefaults:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import CLUSTER_A, CLUSTER_B
-from repro.config import MemoryConfig
+from repro.config import MemoryConfig, config_rows
 from repro.core import q_metrics
 from repro.core.relm import pool_demands
 from repro.experiments.common import profiled_stats
@@ -52,48 +52,48 @@ def sbk_stats():
 class TestQ1HeapOccupancy:
     def test_unsafe_config_scores_over_one(self, pr_stats):
         # The default PageRank setup aborts (Figure 5) — q1 must flag it.
-        q1, _, _ = q_metrics([MemoryConfig(1, 2, 0.6, 0.0, 2)], pr_stats, CLUSTER_A)[0]
+        q1, _, _ = q_metrics(config_rows([MemoryConfig(1, 2, 0.6, 0.0, 2)]), pr_stats, CLUSTER_A)[0]
         assert q1 > 0.95
 
     def test_underutilized_config_scores_low(self, pr_stats):
-        q1, _, _ = q_metrics([MemoryConfig(1, 1, 0.1, 0.0, 2)], pr_stats, CLUSTER_A)[0]
+        q1, _, _ = q_metrics(config_rows([MemoryConfig(1, 1, 0.1, 0.0, 2)]), pr_stats, CLUSTER_A)[0]
         assert q1 < 0.7
 
     def test_q1_grows_with_concurrency(self, pr_stats):
-        q1a = q_metrics([MemoryConfig(1, 1, 0.4, 0.0, 2)], pr_stats, CLUSTER_A)[0, 0]
-        q1b = q_metrics([MemoryConfig(1, 4, 0.4, 0.0, 2)], pr_stats, CLUSTER_A)[0, 0]
+        q1a = q_metrics(config_rows([MemoryConfig(1, 1, 0.4, 0.0, 2)]), pr_stats, CLUSTER_A)[0, 0]
+        q1b = q_metrics(config_rows([MemoryConfig(1, 4, 0.4, 0.0, 2)]), pr_stats, CLUSTER_A)[0, 0]
         assert q1b > q1a
 
 
 class TestQ2LongTermEfficiency:
     def test_small_old_raises_q2(self, pr_stats):
         # Observation 5: Old below the long-term demand is flagged.
-        q2_small = q_metrics([MemoryConfig(1, 1, 0.6, 0.0, 1)], pr_stats, CLUSTER_A)[0, 1]
-        q2_big = q_metrics([MemoryConfig(1, 1, 0.6, 0.0, 7)], pr_stats, CLUSTER_A)[0, 1]
+        q2_small = q_metrics(config_rows([MemoryConfig(1, 1, 0.6, 0.0, 1)]), pr_stats, CLUSTER_A)[0, 1]
+        q2_big = q_metrics(config_rows([MemoryConfig(1, 1, 0.6, 0.0, 7)]), pr_stats, CLUSTER_A)[0, 1]
         assert q2_small >= q2_big
 
     def test_small_cache_capacity_raises_q2(self, pr_stats):
-        q2_tiny = q_metrics([MemoryConfig(1, 1, 0.05, 0.0, 3)], pr_stats, CLUSTER_A)[0, 1]
-        q2_ok = q_metrics([MemoryConfig(1, 1, 0.5, 0.0, 3)], pr_stats, CLUSTER_A)[0, 1]
+        q2_tiny = q_metrics(config_rows([MemoryConfig(1, 1, 0.05, 0.0, 3)]), pr_stats, CLUSTER_A)[0, 1]
+        q2_ok = q_metrics(config_rows([MemoryConfig(1, 1, 0.5, 0.0, 3)]), pr_stats, CLUSTER_A)[0, 1]
         assert q2_tiny > q2_ok
 
 
 class TestQ3ShuffleEfficiency:
     def test_oversized_grant_flagged(self, sbk_stats):
         # Observation 7: a shuffle grant beyond ½·Eden scores high.
-        q3_big = q_metrics([MemoryConfig(1, 2, 0.0, 0.7, 2)], sbk_stats, CLUSTER_A)[0, 2]
-        q3_small = q_metrics([MemoryConfig(1, 2, 0.0, 0.1, 2)], sbk_stats, CLUSTER_A)[0, 2]
+        q3_big = q_metrics(config_rows([MemoryConfig(1, 2, 0.0, 0.7, 2)]), sbk_stats, CLUSTER_A)[0, 2]
+        q3_small = q_metrics(config_rows([MemoryConfig(1, 2, 0.0, 0.1, 2)]), sbk_stats, CLUSTER_A)[0, 2]
         assert q3_big > 1.0
         assert q3_small < q3_big
 
     def test_no_shuffle_app_scores_zero(self, pr_stats):
-        q3 = q_metrics([MemoryConfig(1, 2, 0.4, 0.2, 2)], pr_stats, CLUSTER_A)[0, 2]
+        q3 = q_metrics(config_rows([MemoryConfig(1, 2, 0.4, 0.2, 2)]), pr_stats, CLUSTER_A)[0, 2]
         assert q3 == 0.0
 
     def test_metrics_are_finite(self, pr_stats, sbk_stats):
         for stats in (pr_stats, sbk_stats):
             for cfg in (MemoryConfig(4, 2, 0.2, 0.1, 1), MemoryConfig(1, 8, 0.8, 0.1, 9)):
-                qs = q_metrics([cfg], stats, CLUSTER_A)[0]
+                qs = q_metrics(config_rows([cfg]), stats, CLUSTER_A)[0]
                 assert all(q >= 0 and q == q for q in qs)
 
 
@@ -104,12 +104,11 @@ class TestBatch:
         # under the profiled stats of all six workloads: every q equal
         # to the scalar reference, not approximately.
         rng = np.random.default_rng(0)
-        cfgs = []
-        for pool in ("cache", "shuffle"):
-            space = ConfigSpace(cluster, pool)
-            cfgs += space.grid() + space.decode(rng.random((500, space.dim)))
+        spaces = [ConfigSpace(cluster, pool) for pool in ("cache", "shuffle")]
+        rows = np.vstack([r for s in spaces for r in (s.grid_rows(), s.decode(rng.random((500, s.dim))))])
+        cfgs = spaces[0].configs(rows)
         for name in (*SUITE, "TPC-H"):
             stats = profiled_stats(name, cluster.name, 0)
-            q = q_metrics(cfgs, stats, cluster)
+            q = q_metrics(rows, stats, cluster)
             assert q.shape == (len(cfgs), 3)
             assert q.tolist() == [list(q_metrics_reference(c, stats, cluster)) for c in cfgs]
