@@ -13,6 +13,8 @@ Given a candidate configuration ``x`` and the profiled statistics of a
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..cluster import ClusterSpec
@@ -22,16 +24,22 @@ from ..simcluster.jvm import HeapGeometry
 from .relm import pool_demands
 
 
+@lru_cache(maxsize=None)
+def _heap_pools(cluster: ClusterSpec) -> np.ndarray:
+    """Read-only (m_h, Old, Eden) of each (containers per node, NewRatio)
+    pair, at [n - 1, NewRatio - 1], by the cluster's heap rule and Eq 3."""
+    geoms = [[HeapGeometry(cluster.heap_mb(i), j) for j in range(1, NEW_RATIO_MAX + 1)]
+             for i in range(1, cluster.max_containers_per_node + 1)]
+    pools = np.array([[(g.heap_mb, g.old_mb, g.eden_mb) for g in row] for row in geoms])
+    pools.flags.writeable = False
+    return pools
+
+
 def q_metrics(rows: np.ndarray, stats: ProfileStats, cluster: ClusterSpec) -> np.ndarray:
     """Eq 8: the (k, 3) array of (q1, q2, q3) for (k, 5) configuration
     rows (:func:`~repro.config.config_rows`) under ``stats``."""
     n, p, cache, shuffle, nr = np.asarray(rows, dtype=float).reshape(-1, 5).T
-    # (m_h, Old, Eden) for each (containers per node, NewRatio) pair, by
-    # the cluster's heap rule and Eq 3, looked up per config.
-    geoms = [[HeapGeometry(cluster.heap_mb(i), j) for j in range(1, NEW_RATIO_MAX + 1)]
-             for i in range(1, cluster.max_containers_per_node + 1)]
-    pools = np.array([[(g.heap_mb, g.old_mb, g.eden_mb) for g in row] for row in geoms])
-    m_h, old_mb, eden_mb = pools[n.astype(int) - 1, nr.astype(int) - 1].T
+    m_h, old_mb, eden_mb = _heap_pools(cluster)[n.astype(int) - 1, nr.astype(int) - 1].T
 
     # Modeled requirements (Eq 1 / Eq 2 as in the Initializer).
     m_c_req, m_s_req = pool_demands(stats, m_h)

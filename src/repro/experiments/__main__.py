@@ -5,7 +5,11 @@ Each name is an experiment module (``table4_defaults``, ``fig16_overheads``,
 numbers recorded in EXPERIMENTS.md.
 """
 import importlib
+import os
 import sys
+
+# One BLAS thread for steady Table 10 times; set before any module imports numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 #: Experiment module names, in report order.
 NAMES = (

@@ -1,11 +1,13 @@
 """Table 10: per-iteration algorithm overheads (§6.3).
 
-Measures, on this host, one iteration's worth of each component:
+Measures, on this host, one iteration's worth of each component; the
+learned policies' cells are medians over the iterations of Table 8's
+SVM sessions (BO, GBO) and Figure 27's Cluster A session (DDPG):
 
 * **statistics collection** — Statistics Generator over a profile
   (DDPG/GBO/RelM consume internal metrics; plain BO only logs runtime);
 * **model fitting** — GP update (BO), GP update over the q-augmented
-  features (GBO), one actor–critic training step (DDPG), the Initializer
+  features (GBO), one step's actor–critic updates (DDPG), the Initializer
   + Arbitrator evaluation (RelM);
 * **model probing** — building the candidate sweep's features and EI
   over them (BO/GBO, timed alike), an actor forward pass (DDPG), the
@@ -21,15 +23,15 @@ import time
 import numpy as np
 
 from ..cluster import CLUSTER_A
+from ..config import config_rows
 from ..core import relm_recommend
 from ..core.relm import arbitrate, initialize
 from ..profiler import generate_stats
 from ..simcluster.profile_gen import profile_app
-from ..tuners.base import ConfigSpace, Objective
-from ..tuners.ddpg import DDPGAgent, state_vector
+from ..tuners.base import ConfigSpace
 from ..tuners.gbo import gbo_features
-from ..tuners.gp import GaussianProcess, expected_improvement
 from ..workloads import dominant_pool, workload_model
+from . import fig27_ddpg_generality, table8_recommendations
 from .common import default_config, profiled_stats
 from .tables import Table
 
@@ -41,12 +43,7 @@ PAPER = {
     "RelM": {"stats": "5ms", "fit": "0.1ms", "probe": "0.02ms", "size": "-"},
 }
 
-#: Training-set size at a representative iteration (4 LHS + 10 adaptive).
-N_TRAIN = 14
-N_REPS = 5
-
-
-def _time(fn, reps: int = N_REPS) -> float:
+def _time(fn, reps: int = 5) -> float:
     """Median wall-clock of ``fn`` over ``reps`` calls, in ms."""
     times = []
     for _ in range(reps):
@@ -59,64 +56,35 @@ def _time(fn, reps: int = N_REPS) -> float:
 def measure() -> dict[str, dict[str, str]]:
     """Measure each component for each policy on SVM's tuning setup."""
     name = "SVM"
-    model = workload_model(name)
     space = ConfigSpace(CLUSTER_A, dominant_pool(name))
     stats = profiled_stats(name, "A", 0)
-    rng = np.random.default_rng(0)
-
-    # A representative training set.
-    objective = Objective(model, CLUSTER_A)
-    train = space.decode(rng.random((N_TRAIN, space.dim)))
-    for cfg in space.configs(train):
-        objective(cfg)
-    y = np.log([s.objective for s in objective.history])
-    cands = space.decode(rng.random((600, space.dim)))
 
     # Stats collection: the Statistics Generator over a fresh profile.
-    profile = profile_app(model, default_config(name), CLUSTER_A)
-    stats_ms = _time(lambda: generate_stats(profile))
+    profile = profile_app(workload_model(name), default_config(name), CLUSTER_A)
+    stats_ms = f"{_time(lambda: generate_stats(profile)):#.3g}ms"
 
-    out: dict[str, dict[str, str]] = {}
+    ddpg, agent = fig27_ddpg_generality.train_on_a()
+    bo, gbo = (table8_recommendations.sessions(name)[p] for p in ("BO", "GBO"))
 
-    # --- DDPG.
-    agent = DDPGAgent(space=space)
-    st_vec = state_vector(objective.history[0], stats, CLUSTER_A)
-    while len(agent.replay) < 2 * N_TRAIN:  # enough past the training batch size
-        for s in objective.history:
-            agent.replay.append(
-                (st_vec, rng.uniform(-1, 1, space.dim), 0.1, state_vector(s, stats, CLUSTER_A))
-            )
-    out["DDPG"] = {
-        "stats": f"{stats_ms:.2f}ms",
-        "fit": f"{_time(lambda: agent.train_step(rng)):.2f}ms",
-        "probe": f"{_time(lambda: agent.act(st_vec)):.3f}ms",
-        "size": f"{len(pickle.dumps((agent.actor.w, agent.actor.b, agent.critic.w, agent.critic.b))) / 1024:.0f}Kb",
+    def training_set(res, feature):
+        return feature(config_rows([s.config for s in res.samples])), np.array([s.objective for s in res.samples])
+
+    sessions = {  # policy: (session, stats cell, stored model)
+        "DDPG": (ddpg, stats_ms, (agent.actor.w, agent.actor.b, agent.critic.w, agent.critic.b)),
+        "BO": (bo, "n/a", training_set(bo, space.encode)),
+        "GBO": (gbo, stats_ms, training_set(gbo, gbo_features(space, stats, CLUSTER_A))),
     }
+    out = {policy: {
+        "stats": stats_cell,
+        "fit": f"{1000 * np.median(res.fit_times):#.3g}ms",
+        "probe": f"{1000 * np.median(res.probe_times):#.3g}ms",
+        "size": f"{len(pickle.dumps(model)) / 1024:.0f}Kb",
+    } for policy, (res, stats_cell, model) in sessions.items()}
 
-    # --- BO and GBO (GBO adds the q-feature dimensionality). Each probe
-    # builds its candidates' features from their rows inside the timed
-    # call, as the BO loop does every iteration.
-    for policy, feature, stats_cell in (
-        ("BO", space.encode, "n/a"),
-        ("GBO", gbo_features(space, stats, CLUSTER_A), f"{stats_ms:.2f}ms"),
-    ):
-        x = feature(train)
-        gp = GaussianProcess.fit(x, y)
-        probe_ms = _time(
-            lambda: expected_improvement(gp, feature(cands), float(y.min()))
-        )
-        out[policy] = {
-            "stats": stats_cell,
-            "fit": f"{_time(lambda: GaussianProcess.fit(x, y)):.2f}ms",
-            "probe": f"{probe_ms:.2f}ms",
-            "size": f"{len(pickle.dumps((x, y))) / 1024:.0f}Kb",
-        }
-
-    # --- RelM.
     out["RelM"] = {
-        "stats": f"{stats_ms:.2f}ms",
-        "fit": f"{_time(lambda: arbitrate(initialize(stats, 2, CLUSTER_A), stats)):.3f}ms",
-        "probe": f"{_time(lambda: relm_recommend(stats, CLUSTER_A)):.3f}ms",
+        "stats": stats_ms,
+        "fit": f"{_time(lambda: arbitrate(initialize(stats, 2, CLUSTER_A), stats)):#.3g}ms",
+        "probe": f"{_time(lambda: relm_recommend(stats, CLUSTER_A)):#.3g}ms",
         "size": "-",
     }
     return out
@@ -126,13 +94,14 @@ def run() -> Table:
     measured = measure()
     t = Table(
         title="Table 10 — Per-iteration tuning-algorithm overheads (SVM)",
-        columns=["component"] + [f"{p} (paper / ours)" for p in ("DDPG", "BO", "GBO", "RelM")],
-        notes=["Measured on this host; the paper's absolute numbers come from its own machine — compare ratios."],
+        columns=["component"] + [f"{p} (paper / ours)" for p in PAPER],
+        notes=[
+            "Measured on this host; the paper's absolute numbers come from its own machine — compare ratios.",
+            "DDPG reads Figure 27's 30-step Cluster A session: Table 8's 10-step DDPG session never "
+            "fills a training batch, so it has no fit to time.",
+        ],
     )
     for comp, label in (("stats", "Statistics Collection"), ("fit", "Model Fitting"),
                         ("probe", "Model Probing"), ("size", "Model Size")):
-        row = {"component": label}
-        for p in ("DDPG", "BO", "GBO", "RelM"):
-            row[f"{p} (paper / ours)"] = f"{PAPER[p][comp]} / {measured[p][comp]}"
-        t.add(**row)
+        t.add(component=label, **{f"{p} (paper / ours)": f"{PAPER[p][comp]} / {measured[p][comp]}" for p in PAPER})
     return t

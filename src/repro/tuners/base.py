@@ -45,13 +45,22 @@ class Sample(SimulatedRun):
 
 @dataclass
 class TuningResult:
-    """Outcome of one tuning session."""
+    """Outcome of one tuning session, with the wall-clock seconds of each
+    iteration's model fit and model probe (§6.3)."""
 
     best_config: MemoryConfig
     best_runtime_sec: float
     samples: list[Sample]
-    fit_seconds: float = 0.0
-    probe_seconds: float = 0.0
+    fit_times: list[float] = field(default_factory=list)
+    probe_times: list[float] = field(default_factory=list)
+
+    @property
+    def fit_seconds(self) -> float:
+        return sum(self.fit_times)
+
+    @property
+    def probe_seconds(self) -> float:
+        return sum(self.probe_times)
 
     @property
     def iterations(self) -> int:
@@ -206,9 +215,9 @@ class Objective:
         pool = clean if clean else self.history
         return min(pool, key=lambda s: s.objective)
 
-    def result(self, **timings: float) -> TuningResult:
+    def result(self, **timings: list[float]) -> TuningResult:
         """The session so far as a :class:`TuningResult`; ``timings``
-        are its ``fit_seconds``/``probe_seconds``."""
+        are its ``fit_times``/``probe_times``."""
         best = self.best()
         return TuningResult(
             best_config=best.config,

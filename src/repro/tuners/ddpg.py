@@ -19,6 +19,7 @@ networks.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,6 +209,8 @@ def ddpg_tune(
     (the Figure 16 "within top 5 percentile" stopping target). Pass a
     previously-trained ``agent`` to reuse knowledge across environments
     (the §6.6 cross-cluster / cross-dataset adaptability experiment).
+    Probe times are the actor's forward passes after warm-up; fit times
+    are each step's updates, once the buffer holds a training batch.
     """
     rng = np.random.default_rng(seed + 1)
     agent = agent or DDPGAgent(space=space, seed=seed)
@@ -220,22 +223,31 @@ def ddpg_tune(
     sigma = OU_SIGMA
 
     warm = WARMUP_STEPS if not agent.replay else 0  # pre-trained agents skip warm-up
+    fit_times: list[float] = []
+    probe_times: list[float] = []
     for step in range(max_steps):
         ou = ou + OU_THETA * (-ou) + sigma * rng.normal(0.0, 1.0, space.dim)
         sigma *= OU_SIGMA_DECAY
         if step < warm:
             action = rng.uniform(-1.0, 1.0, space.dim)
         else:
-            action = np.clip(agent.act(state) + ou, -1.0, 1.0)
+            t0 = time.perf_counter()
+            mu = agent.act(state)
+            probe_times.append(time.perf_counter() - t0)
+            action = np.clip(mu + ou, -1.0, 1.0)
         (cfg,) = space.configs(space.decode((action + 1.0) / 2.0))
         sample = objective(cfg)
         reward = cdbtune_reward(runtime0, prev_runtime, sample.objective)
         next_state = state_vector(sample, stats, objective.cluster)
         agent.replay.append((state, action, reward, next_state))
-        for _ in range(TRAIN_STEPS_PER_OBS):
-            agent.train_step(rng)
+        # A short buffer trains nothing (and draws nothing from rng).
+        if len(agent.replay) >= BATCH:
+            t0 = time.perf_counter()
+            for _ in range(TRAIN_STEPS_PER_OBS):
+                agent.train_step(rng)
+            fit_times.append(time.perf_counter() - t0)
         state, prev_runtime = next_state, sample.objective
         if stop_runtime_sec is not None and sample.meets(stop_runtime_sec):
             break
 
-    return objective.result(), agent
+    return objective.result(fit_times=fit_times, probe_times=probe_times), agent

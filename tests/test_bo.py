@@ -63,7 +63,7 @@ class TestObjective:
         obj = Objective(workload_model("PageRank"), CLUSTER_A)
         obj(MemoryConfig(1, 2, 0.6, 0.0, 2))  # aborted
         clean = obj(MemoryConfig(2, 1, 0.4, 0.0, 3))
-        res = obj.result(fit_seconds=1.5)
+        res = obj.result(fit_times=[1.5])
         assert (res.best_config, res.best_runtime_sec) == (clean.config, clean.runtime_sec)
         assert res.samples == obj.history and res.samples is not obj.history
         assert (res.fit_seconds, res.probe_seconds) == (1.5, 0.0)

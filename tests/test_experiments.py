@@ -24,6 +24,7 @@ from repro.experiments import (
 from repro.experiments.__main__ import NAMES
 from repro.experiments.tables import CACHE_GRID_KNOBS, Table, config_str
 from repro.config import MemoryConfig
+from repro.tuners.ddpg import WARMUP_STEPS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -146,6 +147,20 @@ class TestTable10:
     def test_relm_stores_no_model(self, measured):
         assert measured["RelM"]["size"] == "-"
 
+    def test_sessions_time_each_iteration(self):
+        # One fit and one probe per adaptive BO/GBO iteration (after the
+        # 4 Table 7 bootstrap probes); DDPG fits only once its replay
+        # buffer holds a 16-transition batch and probes the actor only
+        # after warm-up.
+        sessions = table8_recommendations.sessions("SVM")
+        for policy in ("BO", "GBO"):
+            res = sessions[policy]
+            assert len(res.fit_times) == len(res.probe_times) == res.iterations - 4
+        assert sessions["DDPG"].fit_times == []
+        on_a, _ = fig27_ddpg_generality.train_on_a()
+        assert len(on_a.fit_times) == 15
+        assert len(on_a.probe_times) == 30 - WARMUP_STEPS
+
 
 class TestTpchRelm:
     def test_relm_saves_substantially(self):
@@ -186,6 +201,10 @@ class TestFig27:
         # trained agent's result.
         assert by_agent["DDPG_A^B"] <= 1.5 * by_agent["DDPG_B^B"]
 
+    def test_runs_repeat(self):
+        # The cross-cluster session trains a copy of the cached agent.
+        assert fig27_ddpg_generality.run().rows == fig27_ddpg_generality.run().rows
+
 
 class TestCli:
     def _run(self, *args):
@@ -203,6 +222,14 @@ class TestCli:
             run = importlib.import_module(f"repro.experiments.{name}").run
             assert not inspect.signature(run).parameters, name
         assert not inspect.signature(table10_overheads.measure).parameters
+
+    def test_package_import_leaves_numpy_unloaded(self):
+        # The CLI pins OPENBLAS_NUM_THREADS after importing the package;
+        # the pin only takes effect if numpy is not loaded yet.
+        code = "import sys, repro.experiments; sys.exit('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                             env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
 
     def test_unknown_name_lists_valid_names(self):
         out = self._run("table99")

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import CLUSTER_A, CLUSTER_B
 from repro.config import MemoryConfig, config_rows
 from repro.core import q_metrics
+from repro.core.qmodel import _heap_pools
 from repro.core.relm import pool_demands
 from repro.experiments.common import profiled_stats
 from repro.simcluster.jvm import HeapGeometry
@@ -112,3 +113,7 @@ class TestBatch:
             q = q_metrics(rows, stats, cluster)
             assert q.shape == (len(cfgs), 3)
             assert q.tolist() == [list(q_metrics_reference(c, stats, cluster)) for c in cfgs]
+
+    def test_heap_table_built_once_and_read_only(self):
+        pools = _heap_pools(CLUSTER_A)
+        assert pools is _heap_pools(CLUSTER_A) and not pools.flags.writeable
