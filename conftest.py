@@ -37,6 +37,9 @@ def _driver_mem() -> str:
     return "48g"
 
 
+# One BLAS thread for steady wall-clock tests (Table 10's fit and probe
+# times); numpy is not loaded yet when pytest imports this file.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",

@@ -1,43 +1,34 @@
 """The benchmark test suite (paper Table 2) and its registry.
 
-Each workload module implements the application twice:
+Each application exists twice:
 
-* as a **real PySpark DataFrame job** over synthetic data (oracle-checked
-  against DuckDB), used for measurement and correctness, and
-* as a :class:`~repro.workloads.base.WorkloadModel` — the scaled
-  parameterization the cluster simulator evaluates at the paper's
-  dataset sizes (50GB WordCount, 30GB SortByKey, 100M-sample K-means and
-  SVM, 69M-edge PageRank, SF-50 TPC-H).
+* as a :class:`~repro.workloads.base.WorkloadModel` in
+  :data:`~repro.workloads.base.MODELS` — the scaled parameterization the
+  cluster simulator evaluates at the paper's dataset sizes (50GB
+  WordCount, 30GB SortByKey, 100M-sample K-means and SVM, 69M-edge
+  PageRank, SF-50 TPC-H), and
+* as a **real PySpark DataFrame job** over synthetic data in its own
+  module (``wordcount``, ``sortbykey``, ``kmeans``, ``svm``,
+  ``pagerank``, ``tpch``), oracle-checked against DuckDB and used for
+  measurement and correctness.
+
+This package imports no job module, so the simulator side never loads
+Spark; ``from repro.workloads import kmeans`` imports a job on demand.
 """
 from __future__ import annotations
 
-from . import kmeans, pagerank, sortbykey, svm, tpch, wordcount
-from .base import WorkloadModel
+from .base import MODELS, WorkloadModel
 
 #: Paper Table 2 ordering.
 SUITE = ("WordCount", "SortByKey", "K-means", "SVM", "PageRank")
 
-_MODULES = {
-    "WordCount": wordcount,
-    "SortByKey": sortbykey,
-    "K-means": kmeans,
-    "SVM": svm,
-    "PageRank": pagerank,
-    "TPC-H": tpch,
-}
-
-
-def workload_module(name: str):
-    """Look up a workload module by its Table 2 name."""
-    try:
-        return _MODULES[name]
-    except KeyError:
-        raise KeyError(f"unknown workload {name!r}; known: {sorted(_MODULES)}") from None
-
 
 def workload_model(name: str) -> WorkloadModel:
     """The simulator parameterization for a Table 2 workload."""
-    return workload_module(name).MODEL
+    try:
+        return MODELS[name]
+    except KeyError:
+        raise KeyError(f"unknown workload {name!r}; known: {sorted(MODELS)}") from None
 
 
 def dominant_pool(name: str) -> str:

@@ -9,14 +9,12 @@ events (§6.4 / Figure 22).
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from .. import synth_data
-from .base import MeasuredProfile, WorkloadModel
+from .base import MeasuredProfile, measure_job
 
 _ROWS_PER_SF = 20_000_000
 DIM = 4
@@ -78,45 +76,13 @@ def gradient_oracle_sql(w: np.ndarray) -> str:
     return f"SELECT {cols} FROM examples"
 
 
-def measure(spark: SparkSession, *, sf: float = 0.001) -> MeasuredProfile:
-    df = input_df(spark, sf=sf)
-    rows = df.count()
-    t0 = time.perf_counter()
-    run(spark, sf=sf, iterations=2)[1].count()
-    wall = time.perf_counter() - t0
-    input_mb = rows * (8 * DIM + 8) / 2**20
-    return MeasuredProfile(
-        name="SVM",
-        sf=sf,
-        rows=rows,
-        input_mb=input_mb,
-        wall_sec=wall,
+def measure(spark: SparkSession, *, sf: float) -> MeasuredProfile:
+    return measure_job(
+        "SVM",
+        sf,
+        count_rows=input_df(spark, sf=sf).count,
+        job=lambda: run(spark, sf=sf, iterations=2)[1].count(),
+        bytes_per_row=8 * DIM + 8,
         mem_expansion=1.67,
         shuffle_frac=0.005,  # only partial gradient sums shuffle
     )
-
-
-#: Paper-scale model: 100M examples ≈ 9.4GB input in 300 × 32MB
-#: partitions; cached examples inflate to ~15.6GB, which fits fully at
-#: Cache Capacity >= 0.5 on the default containers (Figure 7d: SVM hits
-#: ratio 1.0 at 0.5). Tiny M_u keeps heap pressure low → no full GCs on
-#: big-heap profiles (the Figure 22 sensitivity study).
-MODEL = WorkloadModel(
-    name="SVM",
-    input_mb=9.4 * 1024,
-    partition_mb=32,
-    cache_mb=15.6 * 1024,
-    shuffle_task_mb=30.0,
-    unmanaged_task_mb=60.0,
-    tenured_frac=0.1,
-    code_mb=110.0,
-    cpu_sec_per_task=6.0,
-    cpu_cores_per_task=1.0,
-    disk_mbps_per_task=8.0,
-    net_task_mb=8.0,
-    alloc_mbps_per_task=50.0,
-    iterations=5,
-    iter_cpu_frac=0.6,
-    recompute_frac=0.8,
-    stage_overhead_sec=12.0,
-)

@@ -8,12 +8,10 @@ RelM's robustness to workload variation (§6.4, Figure 21).
 """
 from __future__ import annotations
 
-import time
-
 from pyspark.sql import DataFrame, SparkSession
 
 from .. import synth_data
-from .base import MeasuredProfile, WorkloadModel
+from .base import MeasuredProfile, measure_job
 
 #: Query name → (SQL over lineitem/orders/customer/part). The same text
 #: runs on Spark (via temp views) and on DuckDB (via the oracle), so the
@@ -109,46 +107,14 @@ def run_query(spark: SparkSession, name: str, tbls: dict[str, DataFrame]) -> Dat
     return spark.sql(QUERIES[name])
 
 
-def measure(spark: SparkSession, *, sf: float = 0.01) -> MeasuredProfile:
+def measure(spark: SparkSession, *, sf: float) -> MeasuredProfile:
     tbls = tables(spark, sf=sf)
-    rows = tbls["lineitem"].count()
-    t0 = time.perf_counter()
-    for name in QUERIES:
-        run_query(spark, name, tbls).count()
-    wall = time.perf_counter() - t0
-    input_mb = rows * 90 / 2**20  # ~90B per lineitem row dominates volume
-    return MeasuredProfile(
-        name="TPC-H",
-        sf=sf,
-        rows=rows,
-        input_mb=input_mb,
-        wall_sec=wall,
+    return measure_job(
+        "TPC-H",
+        sf,
+        count_rows=tbls["lineitem"].count,
+        job=lambda: [run_query(spark, q, tbls).count() for q in QUERIES],
+        bytes_per_row=90,  # ~90B per lineitem row dominates volume
         mem_expansion=1.6,
         shuffle_frac=0.25,  # join/aggregate exchanges on filtered data
     )
-
-
-#: Paper-scale model for Cluster B (Figure 21): dbgen SF-50 ≈ 50GB in
-#: 50 × 1GB-class scan units; the 22-query workload is modeled as 22
-#: stages (iterations=21 at full per-stage cost) with per-query driver
-#: and setup overhead. Scans are memory-bandwidth heavy (high core
-#: demand), joins shuffle ~25% of scanned bytes.
-MODEL = WorkloadModel(
-    name="TPC-H",
-    input_mb=50 * 1024,
-    partition_mb=1024,
-    cache_mb=0.0,
-    shuffle_task_mb=420.0,
-    unmanaged_task_mb=600.0,
-    tenured_frac=0.15,
-    code_mb=130.0,
-    cpu_sec_per_task=30.0,
-    cpu_cores_per_task=1.8,
-    disk_mbps_per_task=15.0,
-    net_task_mb=80.0,
-    alloc_mbps_per_task=100.0,
-    iterations=21,
-    iter_cpu_frac=1.0,
-    recompute_frac=0.0,
-    stage_overhead_sec=90.0,
-)

@@ -5,13 +5,11 @@ map/reduce through Catalyst (explode + hash aggregate + exchange).
 """
 from __future__ import annotations
 
-import time
-
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from .. import synth_data
-from .base import MeasuredProfile, WorkloadModel
+from .base import MeasuredProfile, measure_job
 
 #: Rows per unit scale factor (SF=1 ~ 1GB of text at ~64B/line ~ 16M lines).
 _LINES_PER_SF = 16_000_000
@@ -40,48 +38,16 @@ ORACLE_SQL = """
 """
 
 
-def measure(spark: SparkSession, *, sf: float = 0.001) -> MeasuredProfile:
+def measure(spark: SparkSession, *, sf: float) -> MeasuredProfile:
     """Run the real job and measure rows, volume and wall time."""
     lines = input_df(spark, sf=sf)
     sample = lines.limit(2000).toPandas()
-    bytes_per_row = float(sample["line"].str.len().mean()) + 1.0
-    rows = lines.count()
-    t0 = time.perf_counter()
-    run(spark, sf=sf).count()
-    wall = time.perf_counter() - t0
-    input_mb = rows * bytes_per_row / 2**20
-    return MeasuredProfile(
-        name="WordCount",
-        sf=sf,
-        rows=rows,
-        input_mb=input_mb,
-        wall_sec=wall,
+    return measure_job(
+        "WordCount",
+        sf,
+        count_rows=lines.count,
+        job=lambda: run(spark, sf=sf).count(),
+        bytes_per_row=float(sample["line"].str.len().mean()) + 1.0,
         mem_expansion=1.8,  # java.lang.String ~2 bytes/char + object headers
         shuffle_frac=0.08,  # word/count pairs are a small fraction of text
     )
-
-
-#: Paper-scale model (50GB input, 128MB partitions → 400 tasks). CPU cost
-#: and footprints derived via ``scale_measurement`` from ``measure`` at
-#: SF=0.01 (see tests/test_workload_scaling.py); shuffle per task is the
-#: per-partition word-count map (~8% of a deserialized 128MB partition),
-#: M_u the deserialized partition at the measured ~1.8x string expansion.
-MODEL = WorkloadModel(
-    name="WordCount",
-    input_mb=50 * 1024,
-    partition_mb=128,
-    cache_mb=0.0,
-    shuffle_task_mb=40.0,
-    unmanaged_task_mb=230.0,
-    tenured_frac=0.15,
-    code_mb=110.0,
-    cpu_sec_per_task=30.0,
-    cpu_cores_per_task=0.9,
-    disk_mbps_per_task=14.0,
-    net_task_mb=10.0,
-    alloc_mbps_per_task=90.0,
-    iterations=0,
-    iter_cpu_frac=0.0,
-    recompute_frac=0.0,
-    stage_overhead_sec=15.0,
-)

@@ -231,6 +231,21 @@ class TestCli:
                              env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
 
+    def test_simulator_side_leaves_spark_unloaded(self):
+        # The experiments, tuners, RelM, profiler and simulator read the
+        # workload models only; the Spark stack loads with the job modules.
+        modules = [f"repro.experiments.{name}" for name in NAMES] + [
+            *(f"repro.tuners.{t}" for t in ("bo", "gbo", "ddpg", "rf", "exhaustive", "lhs")),
+            "repro.core", "repro.profiler", "repro.simcluster", "repro.workloads",
+        ]
+        code = ("import importlib, sys\n"
+                f"for m in {modules!r}: importlib.import_module(m)\n"
+                "loaded = [m for m in ('pyspark', 'pandas', 'pyarrow', 'duckdb') if m in sys.modules]\n"
+                "sys.exit(f'loaded: {loaded}' if loaded else 0)")
+        out = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                             env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+
     def test_unknown_name_lists_valid_names(self):
         out = self._run("table99")
         assert out.returncode != 0

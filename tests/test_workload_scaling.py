@@ -1,7 +1,7 @@
 """Measurement → paper-scale model pipeline (workloads.base).
 
 Runs the real Spark jobs at a tiny scale factor, extrapolates via
-``scale_measurement``, and asserts the frozen ``MODEL`` constants sit
+``scale_measurement``, and asserts the frozen ``MODELS`` constants sit
 within a generous band of the live measurement — keeping the simulator
 models tied to genuinely executed Spark jobs without making the
 experiment tables depend on wall-clock noise.
@@ -10,8 +10,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.workloads import workload_module
-from repro.workloads.base import MeasuredProfile, WorkloadModel, scale_measurement
+from repro.workloads import kmeans, pagerank, sortbykey, svm, tpch, wordcount, workload_model
+from repro.workloads.base import MeasuredProfile, WorkloadModel, measure_job, scale_measurement
 
 SF = 0.0008
 
@@ -47,9 +47,23 @@ class TestScaleMeasurement:
             scale_measurement(m, target_input_mb=100.0, partition_mb=10)
 
 
+class TestMeasureJob:
+    def test_counts_then_times_the_job_once(self):
+        calls = []
+        m = measure_job(
+            "X", 0.01, count_rows=lambda: calls.append("count") or 2**20,
+            job=lambda: calls.append("job"), bytes_per_row=16,
+            mem_expansion=1.5, shuffle_frac=0.25,
+        )
+        assert calls == ["count", "job"]
+        assert (m.name, m.sf, m.rows, m.input_mb) == ("X", 0.01, 2**20, 16.0)
+        assert m.wall_sec >= 0
+        assert (m.mem_expansion, m.shuffle_frac) == (1.5, 0.25)
+
+
 class TestModelValidation:
     def test_rejects_bad_fields(self):
-        good = workload_module("WordCount").MODEL
+        good = workload_model("WordCount")
         with pytest.raises(ValueError):
             replace(good, input_mb=0)
         with pytest.raises(ValueError):
@@ -58,21 +72,32 @@ class TestModelValidation:
             replace(good, iterations=-1)
 
     def test_partition_count(self):
-        assert workload_module("WordCount").MODEL.n_partitions == 400
-        assert workload_module("SortByKey").MODEL.n_partitions == 60
-        assert workload_module("PageRank").MODEL.n_partitions == 32
+        assert workload_model("WordCount").n_partitions == 400
+        assert workload_model("SortByKey").n_partitions == 60
+        assert workload_model("PageRank").n_partitions == 32
 
 
-@pytest.fixture(scope="module", params=["WordCount", "SortByKey", "K-means", "SVM", "PageRank", "TPC-H"])
+#: Each Table 2 name with the job module that measures it.
+JOBS = {
+    "WordCount": wordcount,
+    "SortByKey": sortbykey,
+    "K-means": kmeans,
+    "SVM": svm,
+    "PageRank": pagerank,
+    "TPC-H": tpch,
+}
+
+
+@pytest.fixture(scope="module", params=list(JOBS))
 def measured(request, spark):
     """(workload name, its live tiny-SF measurement), measured once for
     both tests of :class:`TestLiveMeasurementBands`."""
     name = request.param
-    return name, workload_module(name).measure(spark, sf=SF if name != "TPC-H" else 0.002)
+    return name, JOBS[name].measure(spark, sf=SF if name != "TPC-H" else 0.002)
 
 
 class TestLiveMeasurementBands:
-    """The frozen MODEL constants vs a live tiny-SF measurement."""
+    """The frozen MODELS constants vs a live tiny-SF measurement."""
 
     def test_measure_runs_and_is_consistent(self, measured):
         _, m = measured
@@ -84,7 +109,7 @@ class TestLiveMeasurementBands:
         # enough for host variance, tight enough to catch a model
         # decoupled from the real job (e.g. 100x off).
         name, m = measured
-        model: WorkloadModel = workload_module(name).MODEL
+        model: WorkloadModel = workload_model(name)
         derived = scale_measurement(
             m, target_input_mb=model.input_mb, partition_mb=model.partition_mb
         )

@@ -10,7 +10,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.oracle import assert_equivalent
-from repro.workloads import SUITE, dominant_pool, workload_model, workload_module
+from repro.workloads import SUITE, dominant_pool, workload_model
 from repro.workloads import kmeans, pagerank, sortbykey, svm, wordcount
 
 SF = 0.0008  # tiny but non-trivial (thousands of rows)
@@ -28,7 +28,7 @@ class TestRegistry:
 
     def test_unknown_workload_raises(self):
         with pytest.raises(KeyError):
-            workload_module("Sorting")
+            workload_model("Sorting")
 
     @pytest.mark.parametrize(
         "name,pool",
