@@ -20,8 +20,9 @@ from ..units import clamp
 
 #: Safety factor δ: fraction of memory kept unassigned (§6.1 uses 0.1).
 DELTA = 0.1
-#: Guard on Algorithm 1's loop (it terminates long before this; see the
-#: §4.3 analysis — iterations are linear in the degree of parallelism).
+#: Guard on Algorithm 1's loop. Profiles (M_u ≥ 54.8 MB at seeds 0–1990,
+#: six models, Clusters A and B) need at most 22 iterations; at M_u = 1 MB
+#: the loop would reach a safe single task after 347, which it rejects.
 MAX_ARBITRATION_ITERS = 200
 
 
@@ -34,15 +35,14 @@ class InitialConfig:
     cache_mb: float  # m_c
     shuffle_task_mb: float  # m_s (per task)
     task_concurrency: int  # p
-    new_ratio: int  # NR
-    old_mb: float  # m_o
-    eden_mb: float  # m_e
+    new_ratio: int  # NR; Old and Eden follow from HeapGeometry(heap_mb, NR)
 
 
 @dataclass(frozen=True)
 class ArbitratedConfig(InitialConfig):
     """Arbitrator output (Algorithm 1): the pools made safe + utility."""
 
+    old_mb: float  # m_o; action III grows it past the NR geometry's Old
     utility: float
     iterations: int
 
@@ -50,8 +50,8 @@ class ArbitratedConfig(InitialConfig):
         """Translate pool sizes into the Table 1 knob vector.
 
         Cache Capacity is ``m_c/m_h``; Shuffle Capacity is the *total*
-        shuffle pool (p tasks × per-task grant) over heap; NewRatio
-        follows from the arbitrated Old size.
+        shuffle pool (p tasks × per-task grant) over heap; NewRatio is
+        the one Algorithm 1 chose.
         """
         f_c = clamp(self.cache_mb / self.heap_mb, 0.0, 0.95)
         f_s = clamp(self.task_concurrency * self.shuffle_task_mb / self.heap_mb, 0.0, 0.95 - f_c)
@@ -60,14 +60,17 @@ class ArbitratedConfig(InitialConfig):
             task_concurrency=self.task_concurrency,
             cache_capacity=round(f_c, 2),
             shuffle_capacity=round(f_s, 2),
-            new_ratio=_new_ratio_from_old(self.old_mb, self.heap_mb),
+            new_ratio=self.new_ratio,
         )
 
 
 def _new_ratio_from_old(old_mb: float, heap_mb: float) -> int:
-    """Invert old = heap·NR/(NR+1); ceil keeps Old at least ``old_mb``.
+    """Smallest NewRatio whose Old holds ``old_mb``: ceil(old/young),
+    clamped to the §6.1 range.
 
     Eq 3 calls it with the long-term pools (code + cache) as ``old_mb``.
+    Not an inverse of ``HeapGeometry``: at an exact geometry point the
+    quotient can land one ulp above NR (16384·4/5 maps back to 5).
     """
     young = heap_mb - old_mb
     if young <= 0:
@@ -111,7 +114,6 @@ def initialize(stats: ProfileStats, n: int, cluster: ClusterSpec) -> InitialConf
 
     # Eq 3 — NewRatio sized so Old just fits the long-term pools.
     nr = _new_ratio_from_old(stats.code_mb + m_c, m_h)
-    geom = HeapGeometry(m_h, nr)
 
     # Eq 4 — concurrency bounded by each resource, linear model. The
     # paper's formula divides node utilization by P alone because its
@@ -134,8 +136,6 @@ def initialize(stats: ProfileStats, n: int, cluster: ClusterSpec) -> InitialConf
         shuffle_task_mb=m_s,
         task_concurrency=p,
         new_ratio=nr,
-        old_mb=geom.old_mb,
-        eden_mb=geom.eden_mb,
     )
 
 
@@ -145,28 +145,25 @@ def arbitrate(init: InitialConfig, stats: ProfileStats) -> ArbitratedConfig | No
     """
     m_h = init.heap_mb
     m_i, m_u = stats.code_mb, stats.unmanaged_task_mb
+    room = (1.0 - DELTA) * m_h
 
     # Line 1: bare minimum — one task must fit.
-    if (m_i + m_u) > (1.0 - DELTA) * m_h:
+    if (m_i + m_u) > room:
         return None
 
-    p = init.task_concurrency
-    m_c = init.cache_mb
-    m_s = init.shuffle_task_mb
-    old = init.old_mb
-    eden = init.eden_mb
-    nr = init.new_ratio
+    p, m_c, nr = init.task_concurrency, init.cache_mb, init.new_ratio
+    old = HeapGeometry(m_h, nr).old_mb
 
-    action = 0
     iters = 0
     # Lines 4–10: shrink demand / grow Old round-robin until the
     # long-term + tenured demand fits in Old.
     while (m_i + p * m_u + m_c) > old:
-        if iters >= MAX_ARBITRATION_ITERS:
+        # Give up once no action can move a pool, or at the guard.
+        stuck = p == 1 and (m_u <= 0 or (m_c - m_u <= 0 and old + m_u >= room))
+        if stuck or iters >= MAX_ARBITRATION_ITERS:
             return None  # cannot be made safe on this container size
+        act = iters % 3
         iters += 1
-        act = action % 3
-        action += 1
         if act == 0:
             # I. Decrease Task Concurrency.
             if p > 1:
@@ -176,21 +173,15 @@ def arbitrate(init: InitialConfig, stats: ProfileStats) -> ArbitratedConfig | No
             if m_c - m_u > 0:
                 m_c -= m_u
                 nr = _new_ratio_from_old(m_i + m_c, m_h)
-                geom = HeapGeometry(m_h, nr)
-                old, eden = geom.old_mb, geom.eden_mb
+                old = HeapGeometry(m_h, nr).old_mb
         else:
             # III. Grow Old by M_u (trade GC overhead for safety, Obs 6).
-            if old + m_u < (1.0 - DELTA) * m_h:
+            if old + m_u < room:
                 old += m_u
                 nr = _new_ratio_from_old(old, m_h)
-                eden = HeapGeometry(m_h, nr).eden_mb
-        # If every action is exhausted, the loop cannot progress.
-        if p == 1 and m_c - m_u <= 0 and old + m_u >= (1.0 - DELTA) * m_h:
-            if (m_i + p * m_u + m_c) > old:
-                return None
 
     # Line 11: bound shuffle by half the per-task Eden share (Obs 7).
-    m_s = min(m_s, 0.5 * eden / p)
+    m_s = min(init.shuffle_task_mb, 0.5 * HeapGeometry(m_h, nr).eden_mb / p)
     # Line 13: utility — fraction of heap put to productive use.
     utility = (m_i + m_c + p * (m_u + m_s)) / m_h
     return ArbitratedConfig(
@@ -201,7 +192,6 @@ def arbitrate(init: InitialConfig, stats: ProfileStats) -> ArbitratedConfig | No
         task_concurrency=p,
         new_ratio=nr,
         old_mb=old,
-        eden_mb=eden,
         utility=utility,
         iterations=iters,
     )
@@ -213,8 +203,8 @@ def relm_recommend(
     """Enumerate container sizes, arbitrate each, pick the max-utility one.
 
     Returns (recommended knob vector, winning arbitrated configuration,
-    all candidates in enumeration order) — the candidate list backs the
-    Figure 24 utility-vs-performance ranking analysis.
+    all candidates in enumeration order, one per container size that
+    Algorithm 1 could make safe).
     """
     candidates: list[ArbitratedConfig] = []
     for n in range(1, cluster.max_containers_per_node + 1):

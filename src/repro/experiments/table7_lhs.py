@@ -1,9 +1,7 @@
 """Table 7: Latin Hypercube samples used in BO initialization (§6.1).
 
 Reports the paper's fixed bootstrap alongside a fresh LHS draw from our
-sampler. :func:`strata_covered` checks the LHS stratification property
-(one sample per stratum per dimension) on unit-cube points; the table
-itself does not call it.
+sampler.
 """
 from __future__ import annotations
 
@@ -11,17 +9,8 @@ import numpy as np
 
 from ..cluster import CLUSTER_A
 from ..tuners.base import ConfigSpace
-from ..tuners.lhs import latin_hypercube, lhs_configs, paper_table7_samples
+from ..tuners.lhs import lhs_configs, paper_table7_samples
 from .tables import CACHE_GRID_KNOBS, Table, config_str
-
-
-def strata_covered(points: np.ndarray) -> bool:
-    """True iff each dimension has exactly one sample per 1/k stratum."""
-    k = len(points)
-    for d in range(points.shape[1]):
-        if len({min(k - 1, int(v * k)) for v in points[:, d]}) != k:
-            return False
-    return True
 
 
 def run() -> Table:

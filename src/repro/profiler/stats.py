@@ -90,7 +90,7 @@ def generate_stats(profile: AppProfile) -> ProfileStats:
 
     return ProfileStats(
         containers_per_node=cfg.containers_per_node,
-        heap_mb=profile.containers[0].heap_mb,
+        heap_mb=profile.run.layout.geom.heap_mb,
         cpu_avg_pct=pctile([c.cpu_avg_pct for c in profile.containers], 0.5),
         disk_avg_pct=pctile([c.disk_avg_pct for c in profile.containers], 0.5),
         code_mb=code,

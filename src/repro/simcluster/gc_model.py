@@ -79,7 +79,7 @@ def gc_overhead(
 
     # Old overflow → every collection escalates to a full GC.
     overflow = max(0.0, layout.old_pressure - 1.0)
-    full = FULL_BASELINE + (FULL_THRASH_SLOPE * overflow if overflow > 0 else 0.0)
+    full = FULL_BASELINE + FULL_THRASH_SLOPE * overflow
 
     # Spill-triggered full GCs (Observation 7), saturating.
     spill = 0.0

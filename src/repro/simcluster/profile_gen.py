@@ -54,8 +54,6 @@ class FullGcSnapshot:
 class ContainerProfile:
     """Per-container instrumentation timeline summary."""
 
-    container_id: int
-    heap_mb: float
     code_mb: float
     cache_peak_mb: float
     shuffle_task_peak_mb: float
@@ -93,7 +91,7 @@ def profile_app(
 
     n_prof = min(MAX_PROFILED_CONTAINERS, lay.containers_total)
     containers = []
-    for i in range(n_prof):
+    for _ in range(n_prof):
         j = lambda: float(1.0 + rng.normal(0.0, CONTAINER_JITTER))  # noqa: E731
         code = model.code_mb * j()
         cache_peak = lay.cache_used_mb * j() if lay.cache_used_mb > 0 else 0.0
@@ -127,8 +125,6 @@ def profile_app(
 
         containers.append(
             ContainerProfile(
-                container_id=i,
-                heap_mb=lay.geom.heap_mb,
                 code_mb=code,
                 cache_peak_mb=cache_peak,
                 shuffle_task_peak_mb=shuffle_peak,

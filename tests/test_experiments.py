@@ -95,14 +95,6 @@ class TestTable7:
         assert len(t.rows) == 4
         assert t.rows[0]["paper (n, p, pool, NR)"] == "(1, 4, 0.6, 7)"
 
-    def test_strata_checker(self):
-        import numpy as np
-
-        good = np.array([[0.1], [0.3], [0.6], [0.9]])
-        bad = np.array([[0.1], [0.15], [0.6], [0.9]])
-        assert table7_lhs.strata_covered(good)
-        assert not table7_lhs.strata_covered(bad)
-
 
 class TestTable9:
     def test_bootstrap_rows_match_paper(self):

@@ -64,6 +64,6 @@ class TestFullGcSnapshots:
         # near capacity — the Figure 22 over-estimation source.
         p = profile_app(workload_model("SVM"), max_resource_allocation(CLUSTER_A), CLUSTER_A)
         c = p.containers[0]
-        heap = c.heap_mb
+        heap = p.run.layout.geom.heap_mb
         old_capacity = heap * 2 / 3  # NR=2
         assert c.old_peak_mb > 0.7 * old_capacity

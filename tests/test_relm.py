@@ -1,10 +1,11 @@
 """RelM: Initializer (Eqs 1–4), Arbitrator (Algorithm 1), Selector."""
+import hashlib
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import CLUSTER_A
+from repro.cluster import CLUSTER_A, CLUSTER_B
 from repro.config import NEW_RATIO_MAX, NEW_RATIO_MIN
 from repro.core import arbitrate, initialize, relm_recommend
 from repro.core.relm import _new_ratio_from_old
@@ -12,6 +13,7 @@ from repro.profiler.stats import ProfileStats
 from repro.simcluster import simulate
 from repro.simcluster.jvm import HeapGeometry
 from repro.workloads import SUITE, workload_model
+from repro.workloads.base import MODELS
 from repro.experiments.common import default_config, profiled_stats
 
 
@@ -113,7 +115,8 @@ class TestArbitrator:
         init = initialize(st_sh, 1, CLUSTER_A)
         arb = arbitrate(init, st_sh)
         assert arb is not None
-        assert arb.shuffle_task_mb <= 0.5 * arb.eden_mb / arb.task_concurrency + 1e-9
+        eden = HeapGeometry(arb.heap_mb, arb.new_ratio).eden_mb
+        assert arb.shuffle_task_mb <= 0.5 * eden / arb.task_concurrency + 1e-9
 
     def test_utility_formula(self):
         init = initialize(PAPER_STATS, 1, CLUSTER_A)
@@ -146,17 +149,34 @@ class TestArbitrator:
             cache_mb=cache, cache_hit_ratio=hit, unmanaged_task_mb=mu,
             shuffle_task_mb=shuffle, spill_fraction=spill, cpu_avg_pct=cpu,
         )
-        for n in range(1, CLUSTER_A.max_containers_per_node + 1):
-            arb = arbitrate(initialize(stats, n, CLUSTER_A), stats)
-            if arb is None:
-                continue
-            assert stats.code_mb + arb.task_concurrency * mu + arb.cache_mb <= arb.old_mb + 1e-6
-            assert arb.task_concurrency >= 1
-            assert arb.cache_mb >= 0
-            assert NEW_RATIO_MIN <= arb.new_ratio <= NEW_RATIO_MAX
+        for cluster in (CLUSTER_A, CLUSTER_B):
+            for n in range(1, cluster.max_containers_per_node + 1):
+                arb = arbitrate(initialize(stats, n, cluster), stats)
+                if arb is None:
+                    continue
+                assert stats.code_mb + arb.task_concurrency * mu + arb.cache_mb <= arb.old_mb + 1e-6
+                assert arb.task_concurrency >= 1
+                assert arb.cache_mb >= 0
+                assert NEW_RATIO_MIN <= arb.new_ratio <= NEW_RATIO_MAX
+                assert arb.to_memory_config().new_ratio == arb.new_ratio
+
+    def test_no_unmanaged_memory_returns_none(self):
+        # M_u = 0: no action of Algorithm 1 can move a pool once p = 1,
+        # so an unsafe start (Eq 3's NewRatio capped at 9) is given up.
+        st_zero = make_stats(unmanaged_task_mb=0.0)
+        assert arbitrate(initialize(st_zero, 1, CLUSTER_A), st_zero) is None
 
 
 class TestToMemoryConfig:
+    def test_new_ratio_is_the_arbitrated_one(self):
+        # Cluster B, n = 1: Eq 3 picks NR 4 and the start is already
+        # safe, but re-inverting Old = 16384·4/5 with ceil gives 5.
+        stats = make_stats(heap_mb=16384.0, cache_mb=12800.0, cache_hit_ratio=1.0,
+                           unmanaged_task_mb=30.0, cpu_avg_pct=30.0)
+        arb = arbitrate(initialize(stats, 1, CLUSTER_B), stats)
+        assert arb.iterations == 0
+        assert arb.to_memory_config().new_ratio == arb.new_ratio == 4
+
     def test_roundtrip_fields(self):
         init = initialize(PAPER_STATS, 2, CLUSTER_A)
         arb = arbitrate(init, PAPER_STATS)
@@ -201,3 +221,30 @@ class TestRecommendations:
         stats = make_stats(unmanaged_task_mb=50000.0)
         with pytest.raises(ValueError):
             relm_recommend(stats, CLUSTER_A)
+
+
+class TestRelmFingerprint:
+    def test_arbitrations_are_bit_identical(self):
+        # Every arbitration (n = 1..4) and recommendation over profile
+        # seeds 0–9 × the six models × Clusters A and B, hashed down to
+        # the bit: the golden tables see only rounded values.
+        lines = []
+        for cluster in (CLUSTER_A, CLUSTER_B):
+            for name in MODELS:
+                for seed in range(10):
+                    stats = profiled_stats(name, cluster.name, seed)
+                    for n in range(1, 5):
+                        arb = arbitrate(initialize(stats, n, cluster), stats)
+                        if arb is None:
+                            lines.append("None")
+                            continue
+                        lines.append(
+                            f"{arb.cache_mb.hex()} {arb.shuffle_task_mb.hex()} {arb.old_mb.hex()} "
+                            f"{arb.utility.hex()} {arb.new_ratio} {arb.iterations} "
+                            f"{arb.to_memory_config()!r}"
+                        )
+                    lines.append(repr(relm_recommend(stats, cluster)[0]))
+        assert len(lines) == 600
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "390b5e1830da9443d8ae57b610b0690023bb83c59cc89be64507354db3b97074"
+        )
