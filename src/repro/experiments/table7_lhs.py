@@ -16,7 +16,7 @@ from .tables import CACHE_GRID_KNOBS, Table, config_str
 def run() -> Table:
     space = ConfigSpace(CLUSTER_A, "cache")
     rng = np.random.default_rng(0)
-    ours = lhs_configs(space, rng, k=4)
+    ours = lhs_configs(space, rng)
     paper = paper_table7_samples(space)
     t = Table(
         title="Table 7 — LHS samples bootstrapping BO",

@@ -6,7 +6,9 @@ the CherryPick rule (EI < 10% and ≥ 6 adaptive samples); DDPG stops
 after 10 new samples; RelM recommends from a single (re-)profiled run.
 
 The four tuning sessions of each application run once per process
-(:func:`sessions`); Table 9 and Figure 17 read the same runs.
+(:func:`sessions`); Table 9 and Figure 17 read the same runs. A session
+recommends the best run it observed, so only RelM's recommendation is
+simulated here.
 """
 from __future__ import annotations
 
@@ -90,12 +92,14 @@ def sessions(name: str) -> dict[str, TuningResult]:
 
 
 def recommend_all(name: str) -> dict[str, SimulatedRun]:
-    """Each of the five policies' recommendation on one workload,
-    simulated: the four :func:`sessions`' best configs and RelM's."""
-    model = workload_model(name)
+    """Each of the five policies' recommended run on one workload: the
+    :attr:`~repro.tuners.base.TuningResult.best` sample each of the four
+    :func:`sessions` observed, and RelM's recommendation, simulated
+    (the one configuration no session ran)."""
     relm, _, _ = relm_recommend(profiled_stats(name, "A", 0), CLUSTER_A)
-    configs = {policy: res.best_config for policy, res in sessions(name).items()} | {"RelM": relm}
-    return {policy: simulate(model, cfg, CLUSTER_A) for policy, cfg in configs.items()}
+    return {policy: res.best for policy, res in sessions(name).items()} | {
+        "RelM": simulate(workload_model(name), relm, CLUSTER_A)
+    }
 
 
 def run() -> Table:

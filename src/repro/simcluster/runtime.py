@@ -122,6 +122,8 @@ def simulate(
     net_share = min(MAX_NET_SHARE_MBPS, cluster.network_mbps / max(1, n * p))
     disk_share = min(MAX_DISK_SHARE_MBPS, cluster.disk_mbps / max(1, n * p))
 
+    gc_free = max(1e-6, 1.0 - gc.total)
+
     def task_time(cpu_sec: float) -> float:
         t = (
             cpu_sec * cpu_slow
@@ -129,16 +131,18 @@ def simulate(
             + model.net_task_mb / net_share
             + spill_bytes / max(20.0, disk_share)
         )
-        return t / max(1e-6, 1.0 - gc.total)
+        return t / gc_free
 
     waves = ceil_div(model.n_partitions, slots)
-    base = model.stage_overhead_sec + waves * task_time(model.cpu_sec_per_task)
-    total = base
+    total = model.stage_overhead_sec + waves * task_time(model.cpu_sec_per_task)
+    iter_cpu = model.cpu_sec_per_task * (
+        model.iter_cpu_frac + (1.0 - lay.cache_hit_ratio) * model.recompute_frac
+    )
+    # Every iteration re-runs the same stage; adding it once per
+    # iteration, not as ``iterations * stage``, keeps the runtime's rounding.
+    stage = model.stage_overhead_sec + waves * task_time(iter_cpu)
     for _ in range(model.iterations):
-        iter_cpu = model.cpu_sec_per_task * (
-            model.iter_cpu_frac + (1.0 - lay.cache_hit_ratio) * model.recompute_frac
-        )
-        total += model.stage_overhead_sec + waves * task_time(iter_cpu)
+        total += stage
 
     # --- Failures.
     rng = np.random.default_rng(

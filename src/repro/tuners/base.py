@@ -43,16 +43,35 @@ class Sample(SimulatedRun):
         return not self.aborted and self.failed_containers == 0 and self.runtime_sec <= target_sec
 
 
+def best_sample(samples: list[Sample]) -> Sample:
+    """The lowest-objective clean (not aborted) sample, or the
+    lowest-objective sample when every one aborted."""
+    clean = [s for s in samples if not s.aborted]
+    return min(clean or samples, key=lambda s: s.objective)
+
+
 @dataclass
 class TuningResult:
-    """Outcome of one tuning session, with the wall-clock seconds of each
-    iteration's model fit and model probe (§6.3)."""
+    """One tuning session: every probe it ran, in order, and the
+    wall-clock seconds of each iteration's model fit and model probe
+    (§6.3). What the session recommends is derived from its samples."""
 
-    best_config: MemoryConfig
-    best_runtime_sec: float
     samples: list[Sample]
     fit_times: list[float] = field(default_factory=list)
     probe_times: list[float] = field(default_factory=list)
+
+    @property
+    def best(self) -> Sample:
+        """The session's recommendation, as the run it observed."""
+        return best_sample(self.samples)
+
+    @property
+    def best_config(self) -> MemoryConfig:
+        return self.best.config
+
+    @property
+    def best_runtime_sec(self) -> float:
+        return self.best.runtime_sec
 
     @property
     def fit_seconds(self) -> float:
@@ -193,7 +212,7 @@ class Objective:
     model: WorkloadModel
     cluster: ClusterSpec
     seed: int = 0
-    history: list[Sample] = field(default_factory=list)
+    history: list[Sample] = field(init=False, default_factory=list)
 
     def __call__(self, cfg: MemoryConfig) -> Sample:
         run = simulate(self.model, cfg, self.cluster, seed=self.seed)
@@ -210,18 +229,10 @@ class Objective:
         return sample
 
     def best(self) -> Sample:
-        """Best non-aborted sample so far (falls back to best objective)."""
-        clean = [s for s in self.history if not s.aborted]
-        pool = clean if clean else self.history
-        return min(pool, key=lambda s: s.objective)
+        """Best sample so far (see :func:`best_sample`)."""
+        return best_sample(self.history)
 
     def result(self, **timings: list[float]) -> TuningResult:
         """The session so far as a :class:`TuningResult`; ``timings``
         are its ``fit_times``/``probe_times``."""
-        best = self.best()
-        return TuningResult(
-            best_config=best.config,
-            best_runtime_sec=best.runtime_sec,
-            samples=list(self.history),
-            **timings,
-        )
+        return TuningResult(list(self.history), **timings)

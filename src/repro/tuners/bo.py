@@ -79,7 +79,7 @@ def bayesian_optimize(
     # i.e. an EI threshold of log(1.1).
     ei_stop = float(np.log1p(EI_STOP_FRACTION))
 
-    boot = bootstrap if bootstrap is not None else lhs_configs(space, rng, k=4)
+    boot = bootstrap if bootstrap is not None else lhs_configs(space, rng)
     for cfg in boot:
         objective(cfg)
 

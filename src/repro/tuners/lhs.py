@@ -24,9 +24,9 @@ def latin_hypercube(rng: np.random.Generator, k: int, dim: int) -> np.ndarray:
     return out
 
 
-def lhs_configs(space: ConfigSpace, rng: np.random.Generator, k: int = 4) -> list[MemoryConfig]:
-    """k LHS bootstrap configurations in ``space``."""
-    return space.configs(space.decode(latin_hypercube(rng, k, space.dim)))
+def lhs_configs(space: ConfigSpace, rng: np.random.Generator) -> list[MemoryConfig]:
+    """LHS bootstrap configurations in ``space``, one per dimension (§6.1)."""
+    return space.configs(space.decode(latin_hypercube(rng, space.dim, space.dim)))
 
 
 def paper_table7_samples(space: ConfigSpace) -> list[MemoryConfig]:

@@ -1,6 +1,6 @@
 """BO / GBO tuning loops (§5.1, §5.2) and the objective runner."""
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -67,6 +67,18 @@ class TestObjective:
         assert (res.best_config, res.best_runtime_sec) == (clean.config, clean.runtime_sec)
         assert res.samples == obj.history and res.samples is not obj.history
         assert (res.fit_seconds, res.probe_seconds) == (1.5, 0.0)
+
+    def test_result_holds_only_what_the_session_produced(self):
+        obj = Objective(workload_model("PageRank"), CLUSTER_A)
+        obj(MemoryConfig(1, 2, 0.6, 0.0, 2))  # aborted
+        obj(MemoryConfig(2, 1, 0.4, 0.0, 3))
+        res = obj.result()
+        assert [f.name for f in fields(res)] == ["samples", "fit_times", "probe_times"]
+        assert res.best is obj.best() is res.samples[1]
+        for name in ("best", "best_config", "best_runtime_sec"):
+            with pytest.raises(AttributeError):
+                setattr(res, name, None)
+        assert [f.name for f in fields(obj) if f.init] == ["model", "cluster", "seed"]
 
     def test_meets_needs_a_clean_run_at_target(self):
         obj = Objective(workload_model("PageRank"), CLUSTER_A)

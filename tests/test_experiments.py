@@ -1,4 +1,5 @@
 """Experiment harnesses: every table runs and key shape claims hold."""
+import hashlib
 import importlib
 import inspect
 import os
@@ -94,6 +95,37 @@ class TestTable7:
         t = table7_lhs.run()
         assert len(t.rows) == 4
         assert t.rows[0]["paper (n, p, pool, NR)"] == "(1, 4, 0.6, 7)"
+
+
+class TestTable8:
+    def test_recommendations_are_bit_identical(self):
+        # Each policy's recommended configuration and the run Table 8
+        # reports for it, on all five apps, hashed down to the bit.
+        lines = []
+        for name in table8_recommendations.SUITE:
+            for policy, run in table8_recommendations.recommend_all(name).items():
+                lines.append(f"{name} {policy} {run.config!r} {run.runtime_sec.hex()} "
+                             f"{run.aborted} {run.failed_containers}")
+        assert len(lines) == 25
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "96a45b3909f84c95daaf646410a6dede4f28e382d4d80f085aeb7285c6d6985c"
+        )
+
+    def test_simulates_only_relm(self, monkeypatch):
+        # The four sessions already ran their best configurations; only
+        # RelM's recommendation is new to the simulator.
+        calls = []
+        real = table8_recommendations.simulate
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(table8_recommendations, "simulate", counting)
+        for name in table8_recommendations.SUITE:
+            calls.clear()
+            recs = table8_recommendations.recommend_all(name)
+            assert calls == [recs["RelM"].config]
 
 
 class TestTable9:

@@ -36,7 +36,7 @@ class TestLatinHypercube:
 class TestConfigSampling:
     def test_lhs_configs_valid(self):
         space = ConfigSpace(CLUSTER_A, "cache")
-        for cfg in lhs_configs(space, np.random.default_rng(0), 4):
+        for cfg in lhs_configs(space, np.random.default_rng(0)):
             assert 1 <= cfg.containers_per_node <= 4
             assert cfg.task_concurrency <= CLUSTER_A.max_task_concurrency(cfg.containers_per_node)
 

@@ -1,10 +1,14 @@
 """SimulatedRun behavior: determinism, structure, failure accounting."""
+import hashlib
+
 import pytest
 
 from repro.cluster import CLUSTER_A, CLUSTER_B
 from repro.config import MemoryConfig, max_resource_allocation
 from repro.simcluster import simulate
-from repro.workloads import SUITE, workload_model
+from repro.tuners.base import ConfigSpace
+from repro.workloads import SUITE, dominant_pool, workload_model
+from repro.workloads.base import MODELS
 
 
 class TestDeterminism:
@@ -85,3 +89,28 @@ class TestFullGcPresence:
         # The §4.1 remedial heuristics (smaller heap, more concurrency).
         r = simulate(workload_model("SVM"), MemoryConfig(4, 2, 0.4, 0.1, 4), CLUSTER_A)
         assert r.full_gc_events > 0
+
+
+class TestGridFingerprint:
+    def test_grid_runs_are_bit_identical(self):
+        # Every §6.1 grid row of the six models on Clusters A and B at
+        # seeds 0–1, hashed down to the bit: the golden tables see only
+        # rounded values, so a one-ulp drift in the runtime model would
+        # pass them but not this.
+        lines = []
+        for cluster in (CLUSTER_A, CLUSTER_B):
+            for name in MODELS:
+                model = workload_model(name)
+                for cfg in ConfigSpace(cluster, dominant_pool(name)).grid():
+                    for seed in (0, 1):
+                        r = simulate(model, cfg, cluster, seed=seed)
+                        lay = [v.hex() for v in vars(r.layout).values() if isinstance(v, float)]
+                        lines.append(" ".join([
+                            r.runtime_sec.hex(), str(r.failed_containers), str(r.aborted),
+                            str(r.full_gc_events), r.cpu_avg_pct.hex(), r.disk_avg_pct.hex(),
+                            *(float(v).hex() for v in vars(r.gc).values()), *lay,
+                        ]))
+        assert len(lines) == 4800
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "044a74e57366039c206931235e3a06a0822eff486f435359e03cec942e83f244"
+        )
