@@ -7,7 +7,7 @@ from functools import lru_cache
 from ..cluster import CLUSTER_A, ClusterSpec, cluster_by_name
 from ..config import MemoryConfig, max_resource_allocation
 from ..profiler import ProfileStats, generate_stats, profile_with_full_gc
-from ..tuners.base import Objective
+from ..tuners.base import Objective, TuningResult
 from ..tuners.exhaustive import exhaustive_search
 from ..workloads import dominant_pool, workload_model
 
@@ -26,7 +26,7 @@ def default_config(name: str, cluster: ClusterSpec = CLUSTER_A) -> MemoryConfig:
 
 
 @lru_cache(maxsize=None)
-def profiled_stats(name: str, cluster_name: str = "A", seed: int = 0) -> ProfileStats:
+def profiled_stats(name: str, cluster_name: str, seed: int, /) -> ProfileStats:
     """Profile a workload under its default config (re-profiling with the
     §4.1 GC-pressure heuristics when needed) and derive Table 6 stats."""
     cluster = cluster_by_name(cluster_name)
@@ -36,15 +36,15 @@ def profiled_stats(name: str, cluster_name: str = "A", seed: int = 0) -> Profile
 
 
 @lru_cache(maxsize=None)
-def grid_runtimes(name: str, cluster_name: str = "A", seed: int = 0) -> tuple:
-    """(runtime_sec of every §6.1 grid config, in grid order) — one
-    Exhaustive Search sweep."""
+def grid_runtimes(name: str, cluster_name: str, seed: int, /) -> TuningResult:
+    """The §6.1 Exhaustive Search session: every grid configuration, in
+    grid order. This is the sweep's one cache, so it runs once per
+    (workload, cluster, seed) per process."""
     objective = Objective(workload_model(name), cluster_by_name(cluster_name), seed=seed)
-    ex = exhaustive_search(objective, dominant_pool=dominant_pool(name))
-    return tuple(s.runtime_sec for s in ex.samples)
+    return exhaustive_search(objective, dominant_pool=dominant_pool(name))
 
 
-def top5_threshold(name: str, cluster_name: str = "A", seed: int = 0) -> float:
+def top5_threshold(name: str, cluster_name: str, seed: int) -> float:
     """Runtime of the top-5th-percentile grid configuration (§6.2)."""
-    rts = sorted(grid_runtimes(name, cluster_name, seed))
+    rts = sorted(s.runtime_sec for s in grid_runtimes(name, cluster_name, seed).samples)
     return rts[max(0, int(0.05 * len(rts)) - 1)]

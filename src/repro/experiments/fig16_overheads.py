@@ -6,25 +6,19 @@ total (simulated) observation time relative to Exhaustive Search's
 full-grid sweep, with the iteration count alongside — exactly the bars
 and labels of Figure 16. RelM's overhead is its profiling run(s).
 
-Each session runs once per process (:func:`train_to_top5` is memoised);
-Figure 26's GP rows read the BO/GBO sessions this figure ran.
+The sessions are the runner's ``"top5"`` ones
+(:func:`~repro.experiments.sessions.session`); Figure 26's GP rows read
+the same runs, and the denominator is the sweep the target reads.
 """
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
 from ..cluster import CLUSTER_A
 from ..simcluster import simulate
-from ..tuners.base import ConfigSpace, Objective
-from ..tuners.bo import bayesian_optimize
-from ..tuners.ddpg import ddpg_tune
-from ..tuners.gbo import guided_bayesian_optimize
-from ..tuners.lhs import lhs_configs
-from ..tuners.rf import RandomForest
-from ..workloads import SUITE, dominant_pool, workload_model
-from .common import default_config, grid_runtimes, profiled_stats, top5_threshold
+from ..workloads import SUITE, workload_model
+from .common import default_config, grid_runtimes
+from .sessions import DDPG_MAX_STEPS, MAX_ITERS, session
 from .tables import Table
 
 #: Approximate paper Figure 16 training overheads (% of Exhaustive) and
@@ -37,54 +31,8 @@ PAPER = {
     "PageRank": {"DDPG": ("~10%", 22), "BO": ("~4%", 11), "GBO": ("~2%", 7), "RelM": ("~0.7%", 1)},
 }
 
-MAX_ITERS = 60
-DDPG_MAX_STEPS = 80
 #: Tuner seeds each black-box policy is averaged over (Figure 26 too).
 SEEDS = (0, 1, 2)
-#: The policies :func:`train_to_top5` trains; ``-RF`` swaps BO/GBO's GP
-#: for the Random Forest of §6.5 (Figure 26).
-POLICIES = ("RelM", "DDPG", "BO", "GBO", "BO-RF", "GBO-RF")
-
-
-@lru_cache(maxsize=None)
-def train_to_top5(name: str, policy: str, seed: int, /) -> tuple[float, int]:
-    """(total observation seconds, iterations) until a clean run lands in
-    the top-5 percentile; caps apply if the policy never converges.
-
-    ``policy`` is one of :data:`POLICIES`. The arguments are positional
-    only, so every call of a session is the same cache key.
-    """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
-    model = workload_model(name)
-    dp = dominant_pool(name)
-    space = ConfigSpace(CLUSTER_A, dp)
-    thr = top5_threshold(name, "A", seed)
-    stats = profiled_stats(name, "A", seed)
-    objective = Objective(model, CLUSTER_A, seed=seed)
-
-    if policy == "RelM":
-        # One profiling run (the default config) is the whole cost.
-        run = simulate(model, default_config(name), CLUSTER_A, seed=seed)
-        return run.runtime_sec, 1
-    if policy == "DDPG":
-        res, _ = ddpg_tune(
-            objective, space, stats, default_config(name), seed=seed,
-            max_steps=DDPG_MAX_STEPS, stop_runtime_sec=thr,
-        )
-    else:
-        fit = None
-        if policy.endswith("-RF"):
-            fit = lambda x, y: RandomForest.fit(x, y, seed=seed)  # noqa: E731
-        kw = dict(
-            seed=seed, bootstrap=lhs_configs(space, np.random.default_rng(seed)),
-            surrogate_fit=fit, max_iters=MAX_ITERS, target_runtime_sec=thr,
-        )
-        if policy.startswith("BO"):
-            res = bayesian_optimize(objective, space, **kw)
-        else:
-            res = guided_bayesian_optimize(objective, space, stats, **kw)
-    return res.total_observation_sec, res.iterations
 
 
 def run() -> Table:
@@ -99,10 +47,13 @@ def run() -> Table:
         ],
     )
     for name in SUITE:
-        ex = sum(grid_runtimes(name, "A", 0))
+        ex = grid_runtimes(name, "A", 0).total_observation_sec
         for policy in ("DDPG", "BO", "GBO", "RelM"):
-            seeds = SEEDS[:1] if policy == "RelM" else SEEDS
-            obs, iters = zip(*(train_to_top5(name, policy, s) for s in seeds))
+            if policy == "RelM":  # one profiling run (the default config) is the whole cost
+                obs, iters = [simulate(workload_model(name), default_config(name), CLUSTER_A).runtime_sec], [1]
+            else:
+                res = [session(name, "A", policy, s, "top5")[0] for s in SEEDS]
+                obs, iters = [r.total_observation_sec for r in res], [r.iterations for r in res]
             p_pct, p_iter = PAPER[name][policy]
             t.add(
                 application=name,

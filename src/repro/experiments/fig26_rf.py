@@ -1,18 +1,19 @@
 """Figure 26 (numbers): Gaussian Process vs Random Forest surrogates
 (§6.5) for BO and GBO on K-means and SVM.
 
-Each surrogate × guidance combination is trained until it reaches the
-top-5-percentile target by Figure 16's session runner
-(:func:`~repro.experiments.fig16_overheads.train_to_top5`); the paper's
-conclusion — neither surrogate strictly dominates, but the GBO guidance
-helps under both — is what the numbers should show. The GP rows are
-Figure 16's sessions, read from its cache.
+Each surrogate × guidance combination is trained to the top-5-percentile
+target by the session runner's ``"top5"`` sessions
+(:func:`~repro.experiments.sessions.session`); the paper's conclusion —
+neither surrogate strictly dominates, but the GBO guidance helps under
+both — is what the numbers should show. The GP rows are Figure 16's
+sessions, read from the runner's cache.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .fig16_overheads import SEEDS, train_to_top5
+from .fig16_overheads import SEEDS
+from .sessions import session
 from .tables import Table
 
 
@@ -24,8 +25,8 @@ def run() -> Table:
     )
     for name in ("K-means", "SVM"):
         for surrogate, suffix in (("GP", ""), ("RF", "-RF")):
-            bo = [train_to_top5(name, "BO" + suffix, s)[1] for s in SEEDS]
-            gbo = [train_to_top5(name, "GBO" + suffix, s)[1] for s in SEEDS]
+            bo = [session(name, "A", "BO" + suffix, s, "top5")[0].iterations for s in SEEDS]
+            gbo = [session(name, "A", "GBO" + suffix, s, "top5")[0].iterations for s in SEEDS]
             t.add(
                 application=name,
                 surrogate=surrogate,

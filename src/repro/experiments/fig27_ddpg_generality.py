@@ -5,37 +5,30 @@ Cluster B with only 5 test samples (DDPG_A^B), compared against an
 agent trained only on Cluster B (DDPG_B^B) and against a same-budget
 cold agent. The paper's finding: reward-feedback training transfers, so
 the pre-trained agent adapts quickly to the hardware change.
+
+Every session but the cross test comes from the session runner
+(:func:`~repro.experiments.sessions.session`); Table 10 reads the
+Cluster A one. The cross test trains a copy of its agent further.
 """
 from __future__ import annotations
 
 import copy
-from functools import lru_cache
 
-from ..cluster import CLUSTER_A, CLUSTER_B
-from ..tuners.base import ConfigSpace, Objective, TuningResult
-from ..tuners.ddpg import DDPGAgent, ddpg_tune
+from ..cluster import CLUSTER_B
+from ..tuners.base import ConfigSpace, Objective
+from ..tuners.ddpg import ddpg_tune
 from ..workloads import dominant_pool, workload_model
 from .common import default_config, profiled_stats
+from .sessions import session
 from .tables import Table
 
 NAME = "SVM"
+#: Steps of a full training session, on either cluster.
+TRAIN_STEPS = 30
 CROSS_TEST_SAMPLES = 5
 
 
-@lru_cache(maxsize=None)
-def train_on_a() -> tuple[TuningResult, DDPGAgent]:
-    """The full 30-step DDPG session on SVM @ Cluster A and the agent it
-    trained, run once per process (Table 10 reads its times). Callers
-    that train the agent further take a copy."""
-    return ddpg_tune(
-        Objective(workload_model(NAME), CLUSTER_A), ConfigSpace(CLUSTER_A, dominant_pool(NAME)),
-        profiled_stats(NAME, "A", 0), default_config(NAME, CLUSTER_A), max_steps=30,
-    )
-
-
 def run() -> Table:
-    space_b = ConfigSpace(CLUSTER_B, dominant_pool(NAME))
-    stats_b = profiled_stats(NAME, "B", 0)
     t = Table(
         title="Figure 27 (numbers) — DDPG generality (SVM, Cluster A → B)",
         columns=["agent", "samples on B", "best runtime on B (min)"],
@@ -45,13 +38,17 @@ def run() -> Table:
             "budget does not.",
         ],
     )
-    for label, steps, seed, agent in (
-        ("DDPG_A^B", CROSS_TEST_SAMPLES, 0, copy.deepcopy(train_on_a()[1])),  # reuses A's training
-        ("DDPG_B^B", 30, 0, None),  # trained directly on B (full session)
-        ("DDPG_cold^B", CROSS_TEST_SAMPLES, 1, None),  # cold, same budget as the cross test
+    cross, _ = ddpg_tune(  # reuses A's training
+        Objective(workload_model(NAME), CLUSTER_B), ConfigSpace(CLUSTER_B, dominant_pool(NAME)),
+        profiled_stats(NAME, "B", 0), default_config(NAME, CLUSTER_B), max_steps=CROSS_TEST_SAMPLES,
+        agent=copy.deepcopy(session(NAME, "A", "DDPG", 0, TRAIN_STEPS)[1]),
+    )
+    for label, steps, res in (
+        ("DDPG_A^B", CROSS_TEST_SAMPLES, cross),
+        ("DDPG_B^B", TRAIN_STEPS, session(NAME, "B", "DDPG", 0, TRAIN_STEPS)[0]),  # trained directly on B
+        ("DDPG_cold^B", CROSS_TEST_SAMPLES,  # cold, same budget as the cross test
+         session(NAME, "B", "DDPG", 1, CROSS_TEST_SAMPLES)[0]),
     ):
-        res, _ = ddpg_tune(Objective(workload_model(NAME), CLUSTER_B, seed=seed), space_b, stats_b,
-                           default_config(NAME, CLUSTER_B), seed=seed, max_steps=steps, agent=agent)
         best = f"{res.best_runtime_sec / 60:.1f}"
         t.add(agent=label, **{"samples on B": str(steps), "best runtime on B (min)": best})
     return t

@@ -2,7 +2,8 @@
 
 Measures, on this host, one iteration's worth of each component; the
 learned policies' cells are medians over the iterations of Table 8's
-SVM sessions (BO, GBO) and Figure 27's Cluster A session (DDPG):
+SVM sessions (BO, GBO) and Figure 27's Cluster A session (DDPG), read
+from the session runner (:func:`~repro.experiments.sessions.session`):
 
 * **statistics collection** — Statistics Generator over a profile
   (DDPG/GBO/RelM consume internal metrics; plain BO only logs runtime);
@@ -31,8 +32,9 @@ from ..simcluster.profile_gen import profile_app
 from ..tuners.base import ConfigSpace
 from ..tuners.gbo import gbo_features
 from ..workloads import dominant_pool, workload_model
-from . import fig27_ddpg_generality, table8_recommendations
 from .common import default_config, profiled_stats
+from .fig27_ddpg_generality import TRAIN_STEPS
+from .sessions import session
 from .tables import Table
 
 #: Paper Table 10 (milliseconds / kilobytes).
@@ -63,8 +65,8 @@ def measure() -> dict[str, dict[str, str]]:
     profile = profile_app(workload_model(name), default_config(name), CLUSTER_A)
     stats_ms = f"{_time(lambda: generate_stats(profile)):#.3g}ms"
 
-    ddpg, agent = fig27_ddpg_generality.train_on_a()
-    bo, gbo = (table8_recommendations.sessions(name)[p] for p in ("BO", "GBO"))
+    ddpg, agent = session(name, "A", "DDPG", 0, TRAIN_STEPS)
+    (bo, _), (gbo, _) = (session(name, "A", p, 0, "cherrypick") for p in ("BO", "GBO"))
 
     def training_set(res, feature):
         return feature(config_rows([s.config for s in res.samples])), np.array([s.objective for s in res.samples])

@@ -5,26 +5,20 @@ configuration; BO/GBO bootstrap from the Table 7 LHS samples and stop by
 the CherryPick rule (EI < 10% and ≥ 6 adaptive samples); DDPG stops
 after 10 new samples; RelM recommends from a single (re-)profiled run.
 
-The four tuning sessions of each application run once per process
-(:func:`sessions`); Table 9 and Figure 17 read the same runs. A session
+The four tuning sessions of each application come from the session
+runner (:func:`~repro.experiments.sessions.session`); Tables 9 and 10
+and Figure 17 read the same runs. A session
 recommends the best run it observed, so only RelM's recommendation is
 simulated here.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 from ..cluster import CLUSTER_A
 from ..core import relm_recommend
 from ..simcluster import SimulatedRun, simulate
-from ..tuners.base import ConfigSpace, Objective, TuningResult
-from ..tuners.bo import bayesian_optimize
-from ..tuners.ddpg import ddpg_tune
-from ..tuners.exhaustive import exhaustive_search
-from ..tuners.gbo import guided_bayesian_optimize
-from ..tuners.lhs import paper_table7_samples
-from ..workloads import SUITE, dominant_pool, workload_model
-from .common import default_config, profiled_stats
+from ..workloads import SUITE, workload_model
+from .common import profiled_stats
+from .sessions import session
 from .tables import Table, config_str
 
 #: Paper Table 8: (policy → (n, p, cache, shuffle, NR)) per application.
@@ -69,37 +63,16 @@ PAPER = {
 POLICIES = ("Exhaustive", "DDPG", "BO", "GBO", "RelM")
 
 
-@lru_cache(maxsize=None)
-def sessions(name: str) -> dict[str, TuningResult]:
-    """The Exhaustive, DDPG, BO and GBO tuning sessions on one workload
-    (seed 0), keyed by policy; run once per process."""
-    model = workload_model(name)
-    dp = dominant_pool(name)
-    space = ConfigSpace(CLUSTER_A, dp)
-    stats = profiled_stats(name, "A", 0)
-    return {
-        "Exhaustive": exhaustive_search(Objective(model, CLUSTER_A), dominant_pool=dp),
-        "DDPG": ddpg_tune(
-            Objective(model, CLUSTER_A), space, stats, default_config(name), max_steps=10
-        )[0],
-        "BO": bayesian_optimize(
-            Objective(model, CLUSTER_A), space, bootstrap=paper_table7_samples(space)
-        ),
-        "GBO": guided_bayesian_optimize(
-            Objective(model, CLUSTER_A), space, stats, bootstrap=paper_table7_samples(space)
-        ),
-    }
-
-
 def recommend_all(name: str) -> dict[str, SimulatedRun]:
     """Each of the five policies' recommended run on one workload: the
     :attr:`~repro.tuners.base.TuningResult.best` sample each of the four
-    :func:`sessions` observed, and RelM's recommendation, simulated
+    tuning sessions observed, and RelM's recommendation, simulated
     (the one configuration no session ran)."""
     relm, _, _ = relm_recommend(profiled_stats(name, "A", 0), CLUSTER_A)
-    return {policy: res.best for policy, res in sessions(name).items()} | {
-        "RelM": simulate(workload_model(name), relm, CLUSTER_A)
-    }
+    return {
+        policy: session(name, "A", policy, 0, 10 if policy == "DDPG" else "cherrypick")[0].best
+        for policy in POLICIES[:-1]
+    } | {"RelM": simulate(workload_model(name), relm, CLUSTER_A)}
 
 
 def run() -> Table:

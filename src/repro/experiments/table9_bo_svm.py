@@ -4,11 +4,12 @@ Reproduces the sample-by-sample trace: the four LHS bootstrap samples
 (sample # 0) followed by the adaptive probes, with the runtime of each.
 The paper uses this table to show BO pinning Cache Capacity near the
 bootstrap's best region (a local minimum — SVM wants ≥ 0.5 to fit its
-cached data). The run is Table 8's SVM BO session.
+cached data). The run is Table 8's SVM BO session, read from the
+session runner (:func:`~repro.experiments.sessions.session`).
 """
 from __future__ import annotations
 
-from .table8_recommendations import sessions
+from .sessions import session
 from .tables import CACHE_GRID_KNOBS, Table, config_str
 
 #: Paper Table 9 rows: (sample #, n, p, cache, NR, runtime minutes).
@@ -33,7 +34,7 @@ def run() -> Table:
                  "paper config", "paper runtime (min)"],
         notes=["Sample # 0 rows are the LHS bootstrap (paper Table 7)."],
     )
-    for i, s in enumerate(sessions("SVM")["BO"].samples):
+    for i, s in enumerate(session("SVM", "A", "BO", 0, "cherrypick")[0].samples):
         num = 0 if i < 4 else i - 3
         if i < len(PAPER):
             pn, a, b, c, d, prt = PAPER[i]

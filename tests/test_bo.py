@@ -7,7 +7,7 @@ import pytest
 
 from repro.cluster import CLUSTER_A, CLUSTER_B
 from repro.config import MINOR_POOL_CAPACITY, MemoryConfig, config_rows
-from repro.experiments import fig16_overheads
+from repro.experiments import sessions
 from repro.experiments.common import profiled_stats, top5_threshold
 from repro.tuners.base import ConfigSpace, Objective
 from repro.tuners.bo import MIN_ADAPTIVE_SAMPLES, bayesian_optimize
@@ -276,11 +276,11 @@ class TestSessionFingerprint:
                 lines.append(f"{cfg!r} {s.runtime_sec.hex()} {s.objective.hex()} {s.aborted} {s.failed_containers}")
                 return s
 
-        monkeypatch.setattr(fig16_overheads, "Objective", Recording)
+        monkeypatch.setattr(sessions, "Objective", Recording)
         for app in ("WordCount", "SortByKey", "K-means", "SVM"):
             for policy in ("BO", "GBO", "BO-RF", "GBO-RF", "DDPG"):
                 lines.append(f"{app} {policy}")
-                fig16_overheads.train_to_top5.__wrapped__(app, policy, 0)
+                sessions._search.__wrapped__(app, "A", policy, 0, "top5")
         assert len(lines) == 326
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
             "5d21b8417d7b9fe7fe28156108149cf1adf168cf94c5244654939c649181b147"

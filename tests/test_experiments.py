@@ -1,4 +1,5 @@
 """Experiment harnesses: every table runs and key shape claims hold."""
+import ast
 import hashlib
 import importlib
 import inspect
@@ -6,13 +7,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.experiments import (
+    common,
     fig16_overheads,
     fig26_rf,
     fig27_ddpg_generality,
+    sessions,
     table4_defaults,
     table5_manual_pagerank,
     table6_stats,
@@ -25,7 +29,9 @@ from repro.experiments import (
 from repro.experiments.__main__ import NAMES
 from repro.experiments.tables import CACHE_GRID_KNOBS, Table, config_str
 from repro.config import MemoryConfig
+from repro.tuners import exhaustive
 from repro.tuners.ddpg import WARMUP_STEPS
+from repro.workloads import SUITE
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -141,10 +147,11 @@ class TestTable9:
         assert len(t.rows) >= 10
 
     def test_rows_are_table8_svm_bo_session(self):
-        sessions = table8_recommendations.sessions
-        assert sessions("SVM") is sessions("SVM")
+        bo = sessions.session("SVM", "A", "BO", 0, "cherrypick")
+        assert bo is sessions.session("SVM", "A", "BO", 0, "cherrypick")
+        assert table8_recommendations.recommend_all("SVM")["BO"] is bo[0].best
         rows = [r["config (n, p, cache, NR)"] for r in table9_bo_svm.run().rows]
-        assert rows == [config_str(s.config, CACHE_GRID_KNOBS) for s in sessions("SVM")["BO"].samples]
+        assert rows == [config_str(s.config, CACHE_GRID_KNOBS) for s in bo[0].samples]
 
 
 class TestTable10:
@@ -176,12 +183,11 @@ class TestTable10:
         # 4 Table 7 bootstrap probes); DDPG fits only once its replay
         # buffer holds a 16-transition batch and probes the actor only
         # after warm-up.
-        sessions = table8_recommendations.sessions("SVM")
         for policy in ("BO", "GBO"):
-            res = sessions[policy]
+            res, _ = sessions.session("SVM", "A", policy, 0, "cherrypick")
             assert len(res.fit_times) == len(res.probe_times) == res.iterations - 4
-        assert sessions["DDPG"].fit_times == []
-        on_a, _ = fig27_ddpg_generality.train_on_a()
+        assert sessions.session("SVM", "A", "DDPG", 0, 10)[0].fit_times == []
+        on_a, _ = sessions.session("SVM", "A", "DDPG", 0, fig27_ddpg_generality.TRAIN_STEPS)
         assert len(on_a.fit_times) == 15
         assert len(on_a.probe_times) == 30 - WARMUP_STEPS
 
@@ -193,27 +199,72 @@ class TestTpchRelm:
         assert 25 <= saving <= 60  # paper: 40%
 
 
+class TestSessionRunner:
+    def test_only_the_runner_calls_the_tuners(self):
+        # Each §6.2 protocol (bootstrap, caps, stop) is spelled once: in
+        # sessions.py. The §6.1 sweep is common.grid_runtimes, and Figure
+        # 27's cross test hands a copy of a trained agent to DDPG.
+        calls = []
+        for path in sorted((ROOT / "src/repro/experiments").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name in ("bayesian_optimize", "guided_bayesian_optimize",
+                                "exhaustive_search", "ddpg_tune"):
+                        calls.append((path.name, name))
+        assert sorted(calls) == [
+            ("common.py", "exhaustive_search"),
+            ("fig27_ddpg_generality.py", "ddpg_tune"),
+            ("sessions.py", "bayesian_optimize"),
+            ("sessions.py", "ddpg_tune"),
+            ("sessions.py", "guided_bayesian_optimize"),
+        ]
+
+    def test_sweeps_the_grid_once_per_app(self, monkeypatch):
+        # Table 8's Exhaustive row and the top-5 % target read one sweep.
+        calls = []
+        real = exhaustive.exhaustive_search
+
+        def counting(objective, **kw):
+            calls.append(objective.model.name)
+            return real(objective, **kw)
+
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("repro.") and getattr(mod, "exhaustive_search", None) is real:
+                monkeypatch.setattr(mod, "exhaustive_search", counting)
+        common.grid_runtimes.cache_clear()
+        sessions._search.cache_clear()
+        for name in SUITE:
+            table8_recommendations.recommend_all(name)
+            common.top5_threshold(name, "A", 0)
+        assert calls == list(SUITE)
+
+
 class TestFig16:
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError, match="policy"):
-            fig16_overheads.train_to_top5("SVM", "BO-XGB", 0)
+            sessions.session("SVM", "A", "BO-XGB", 0, "top5")
+        # RelM is not a search: Figure 16 charges its one default run itself.
+        with pytest.raises(ValueError, match="policy"):
+            sessions.session("SVM", "A", "RelM", 0, "top5")
 
     def test_fig26_gp_session_hits_fig16_cache(self, monkeypatch):
-        # Record how each figure spells its train_to_top5 calls, then
-        # replay the first SVM BO call of each (seed 0, GP) for real.
+        # Record how each figure spells its session calls, then replay
+        # the first SVM BO call of each (seed 0, GP) for real.
         spellings = []
+        stub = SimpleNamespace(total_observation_sec=1.0, iterations=1)
         for mod in (fig16_overheads, fig26_rf):
             calls = []
-            monkeypatch.setattr(mod, "train_to_top5",
-                                lambda *a, _calls=calls, **kw: _calls.append((a, kw)) or (1.0, 1))
+            monkeypatch.setattr(mod, "session",
+                                lambda *a, _calls=calls, **kw: _calls.append((a, kw)) or (stub, None))
             mod.run()
-            spellings.append(next((a, kw) for a, kw in calls if a[:2] == ("SVM", "BO")))
+            spellings.append(next((a, kw) for a, kw in calls if a[:3] == ("SVM", "A", "BO")))
         monkeypatch.undo()
-        train = fig16_overheads.train_to_top5
-        train.cache_clear()
+        sessions._search.cache_clear()
         for a, kw in spellings:
-            train(*a, **kw)
-        info = train.cache_info()
+            sessions.session(*a, **kw)
+        info = sessions._search.cache_info()
         assert (info.hits, info.misses) == (1, 1)
 
 

@@ -16,6 +16,23 @@ from repro.workloads import kmeans, pagerank, sortbykey, svm, wordcount
 SF = 0.0008  # tiny but non-trivial (thousands of rows)
 
 
+# Each job runs once per test session: ``localCheckpoint`` computes the
+# result eagerly and keeps it, so the tests that read it share one run.
+@pytest.fixture(scope="session")
+def word_counts(spark):
+    return wordcount.run(spark, sf=SF).localCheckpoint()
+
+
+@pytest.fixture(scope="session")
+def sorted_pairs(spark):
+    return sortbykey.run(spark, sf=SF).localCheckpoint()
+
+
+@pytest.fixture(scope="session")
+def ranks_after_2(spark):
+    return pagerank.run(spark, sf=SF, iterations=2).localCheckpoint()
+
+
 class TestRegistry:
     def test_suite_is_table2(self):
         assert SUITE == ("WordCount", "SortByKey", "K-means", "SVM", "PageRank")
@@ -52,31 +69,31 @@ class TestRegistry:
 
 
 class TestWordCount:
-    def test_counts_match_duckdb(self, spark):
+    def test_counts_match_duckdb(self, spark, word_counts):
         lines = wordcount.input_df(spark, sf=SF)
-        result = wordcount.run(spark, sf=SF)
+        result = word_counts
         assert_equivalent(result, wordcount.ORACLE_SQL, lines=lines)
 
-    def test_total_words(self, spark):
+    def test_total_words(self, spark, word_counts):
         lines = wordcount.input_df(spark, sf=SF)
         n_lines = lines.count()
-        total = wordcount.run(spark, sf=SF).agg({"cnt": "sum"}).collect()[0][0]
+        total = word_counts.agg({"cnt": "sum"}).collect()[0][0]
         assert total == n_lines * 10  # 10 words per line
 
 
 class TestSortByKey:
-    def test_content_matches_duckdb(self, spark):
+    def test_content_matches_duckdb(self, spark, sorted_pairs):
         pairs = sortbykey.input_df(spark, sf=SF)
-        result = sortbykey.run(spark, sf=SF)
+        result = sorted_pairs
         assert_equivalent(result, sortbykey.ORACLE_SQL, pairs=pairs)
 
-    def test_output_is_sorted(self, spark):
-        rows = sortbykey.run(spark, sf=SF).collect()
+    def test_output_is_sorted(self, sorted_pairs):
+        rows = sorted_pairs.collect()
         keys = [(r.k, r.v) for r in rows]
         assert keys == sorted(keys)
 
-    def test_preserves_cardinality(self, spark):
-        assert sortbykey.run(spark, sf=SF).count() == sortbykey.input_df(spark, sf=SF).count()
+    def test_preserves_cardinality(self, spark, sorted_pairs):
+        assert sorted_pairs.count() == sortbykey.input_df(spark, sf=SF).count()
 
 
 class TestKMeans:
@@ -147,14 +164,14 @@ class TestPageRank:
             ranks = new[nodes]
         return pd.DataFrame({"node": nodes, "rank": ranks.values})
 
-    def test_ranks_match_reference(self, spark):
+    def test_ranks_match_reference(self, spark, ranks_after_2):
         edges = pagerank.input_df(spark, sf=SF)
         expected = self._expected(edges.toPandas(), iterations=2)
-        result = pagerank.run(spark, sf=SF, iterations=2)
+        result = ranks_after_2
         assert_equivalent(result, "SELECT node, rank FROM expected", expected=expected)
 
-    def test_rank_mass_reasonable(self, spark):
-        ranks = pagerank.run(spark, sf=SF, iterations=2).toPandas()
+    def test_rank_mass_reasonable(self, ranks_after_2):
+        ranks = ranks_after_2.toPandas()
         assert (ranks["rank"] >= 1.0 - pagerank.DAMPING - 1e-9).all()
 
     def test_skewed_nodes_rank_higher(self, spark):
