@@ -113,16 +113,16 @@ def uniform_keys(spark: SparkSession, *, n: int, n_keys: int, seed: int = 4) -> 
 
 # --- Extensions for the RelM reproduction test suite (paper Table 2). ---
 
-_WORDS = [
-    f"w{i:03d}" for i in range(200)
-]  # Hadoop RandomTextWriter draws words from a fixed dictionary.
+# Hadoop RandomTextWriter draws words from a fixed dictionary. As an object
+# array it maps a whole index array to Python strs at once.
+_WORDS = np.array([f"w{i:03d}" for i in range(200)], dtype=object)
 
 
 def random_text(spark: SparkSession, *, n_lines: int, words_per_line: int = 10, seed: int = 10) -> DataFrame:
     """RandomTextWriter-style corpus: one space-joined line per row."""
     g = _rng(seed)
     idx = g.integers(0, len(_WORDS), (n_lines, words_per_line))
-    lines = [" ".join(_WORDS[j] for j in row) for row in idx]
+    lines = [" ".join(row) for row in _WORDS[idx].tolist()]
     return spark.createDataFrame(pd.DataFrame({"line": lines}))
 
 

@@ -21,9 +21,13 @@ NOISE_VAR = 1e-4
 LENGTHSCALE_GRID = (0.3, 0.6, 1.0, 1.8, 3.0)
 
 
-def _rbf(a: np.ndarray, b: np.ndarray, ls: float) -> np.ndarray:
-    """Squared-exponential kernel matrix K(a, b)."""
-    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)
+def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``a`` and ``b``."""
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)
+
+
+def _rbf(d2: np.ndarray, ls: float) -> np.ndarray:
+    """Squared-exponential kernel matrix from squared distances ``d2``."""
     return np.exp(-0.5 * d2 / ls**2)
 
 
@@ -62,9 +66,10 @@ class GaussianProcess:
         sd = sd if sd > 1e-12 else 1.0
         ys = (y - mu) / sd
 
+        d2 = _sqdist(x, x)
         best = None
         for ls in LENGTHSCALE_GRID:
-            k = _rbf(x, x, ls) + (NOISE_VAR + JITTER) * np.eye(len(x))
+            k = _rbf(d2, ls) + (NOISE_VAR + JITTER) * np.eye(len(x))
             try:
                 chol = np.linalg.cholesky(k)
             except np.linalg.LinAlgError:
@@ -92,7 +97,7 @@ class GaussianProcess:
         """Posterior mean and standard deviation at query points (Eq 6)."""
         xq = np.atleast_2d(np.asarray(xq, dtype=float))
         xq = (xq - self.x_mean) / self.x_std
-        ks = _rbf(xq, self.x, self.lengthscale)
+        ks = _rbf(_sqdist(xq, self.x), self.lengthscale)
         mean_s = ks @ self._alpha
         v = np.linalg.solve(self._chol, ks.T)
         var_s = np.maximum(1e-12, 1.0 - (v**2).sum(axis=0))

@@ -3,8 +3,8 @@
 Real job: Lloyd's algorithm on a DataFrame of points — each iteration
 assigns points to the nearest center with a literal-expression distance
 computation (no UDF; pure Catalyst expressions) and recomputes centers
-by groupBy/avg. The input is cached, exactly the iterative
-cache-storage pattern Section 3.3 studies.
+by groupBy/avg. Every pass, the final one included, reads the cached
+input: the iterative cache-storage pattern Section 3.3 studies.
 """
 from __future__ import annotations
 
@@ -45,16 +45,19 @@ def assign(points: DataFrame, centers: np.ndarray) -> DataFrame:
     return points.withColumn("assigned", best)
 
 
-def step(points: DataFrame, centers: np.ndarray) -> np.ndarray:
-    """One Lloyd iteration: new centers (empty clusters keep the old)."""
-    rows = (
+def _clusters(points: DataFrame, centers: np.ndarray) -> DataFrame:
+    """Per nearest center: its point count ``cnt`` and mean ``x0..``."""
+    return (
         assign(points, centers)
         .groupBy("assigned")
-        .agg(*[F.avg(f"x{i}").alias(f"x{i}") for i in range(DIM)])
-        .collect()
+        .agg(F.count("*").alias("cnt"), *[F.avg(f"x{i}").alias(f"x{i}") for i in range(DIM)])
     )
+
+
+def step(points: DataFrame, centers: np.ndarray) -> np.ndarray:
+    """One Lloyd iteration: new centers (empty clusters keep the old)."""
     new = centers.copy()
-    for r in rows:
+    for r in _clusters(points, centers).collect():
         new[r["assigned"]] = [r[f"x{i}"] for i in range(DIM)]
     return new
 
@@ -64,20 +67,13 @@ def initial_centers(seed: int = 7) -> np.ndarray:
 
 
 def run(spark: SparkSession, *, sf: float = 0.001, iterations: int = 3, seed: int = 11) -> DataFrame:
-    """Cached Lloyd's iterations; returns final per-cluster counts+centers."""
+    """Cached Lloyd's iterations; returns the final ``_clusters``, computed."""
     points = input_df(spark, sf=sf, seed=seed).cache()
     try:
         centers = initial_centers()
         for _ in range(iterations):
             centers = step(points, centers)
-        return (
-            assign(points, centers)
-            .groupBy("assigned")
-            .agg(
-                F.count("*").alias("cnt"),
-                *[F.avg(f"x{i}").alias(f"x{i}") for i in range(DIM)],
-            )
-        )
+        return spark.createDataFrame(_clusters(points, centers).toArrow())
     finally:
         points.unpersist()
 

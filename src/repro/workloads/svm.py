@@ -45,23 +45,16 @@ def gradient(examples: DataFrame, w: np.ndarray) -> np.ndarray:
 def run(
     spark: SparkSession, *, sf: float = 0.001, iterations: int = 3, seed: int = 12
 ) -> tuple[np.ndarray, DataFrame]:
-    """Train; return (weights, per-label prediction accuracy DataFrame)."""
+    """Train; return (weights, per-label accuracy DataFrame, computed)."""
     ex = input_df(spark, sf=sf, seed=seed).cache()
     try:
         w = np.zeros(DIM)
         for _ in range(iterations):
             w = w - LR * gradient(ex, w)
-        pred = ex.withColumn(
-            "correct",
-            (
-                F.when(sum(F.col(f"x{i}") * float(w[i]) for i in range(DIM)) >= 0, 1.0)
-                .otherwise(-1.0)
-                == F.col("y")
-            ).cast("int"),
-        )
-        return w, pred.groupBy("y").agg(
-            F.count("*").alias("n"), F.sum("correct").alias("n_correct")
-        )
+        score = sum(F.col(f"x{i}") * float(w[i]) for i in range(DIM))
+        correct = (F.when(score >= 0, 1.0).otherwise(-1.0) == F.col("y")).cast("int")
+        acc = ex.groupBy("y").agg(F.count("*").alias("n"), F.sum(correct).alias("n_correct"))
+        return w, spark.createDataFrame(acc.toArrow())
     finally:
         ex.unpersist()
 

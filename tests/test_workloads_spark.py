@@ -4,6 +4,8 @@ Each Table 2 application's DataFrame implementation is verified for
 result correctness — a wrong join, aggregation, or iteration shows up
 as a row diff, not just "it ran".
 """
+from typing import Any, NamedTuple
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -28,9 +30,39 @@ def sorted_pairs(spark):
     return sortbykey.run(spark, sf=SF).localCheckpoint()
 
 
+class Run(NamedTuple):
+    """A job's result, with the RDDs Spark held persisted before and after it."""
+
+    result: Any
+    persisted_before: int
+    persisted_after: int
+
+
+def run_once(spark, job) -> Run:
+    persisted = spark.sparkContext._jsc.getPersistentRDDs().size
+    before = persisted()
+    result = job()
+    return Run(result, before, persisted())
+
+
 @pytest.fixture(scope="session")
-def ranks_after_2(spark):
-    return pagerank.run(spark, sf=SF, iterations=2).localCheckpoint()
+def kmeans_run(spark):
+    return run_once(spark, lambda: kmeans.run(spark, sf=SF, iterations=2))
+
+
+@pytest.fixture(scope="session")
+def svm_run(spark):
+    return run_once(spark, lambda: svm.run(spark, sf=SF, iterations=4))
+
+
+@pytest.fixture(scope="session")
+def pagerank_run(spark):
+    return run_once(spark, lambda: pagerank.run(spark, sf=SF, iterations=2))
+
+
+@pytest.fixture(scope="session")
+def ranks_after_2(pagerank_run):
+    return pagerank_run.result.localCheckpoint()
 
 
 class TestRegistry:
@@ -116,8 +148,8 @@ class TestKMeans:
         moved = kmeans.step(points, centers)
         assert not np.allclose(moved, centers)
 
-    def test_full_run_covers_all_points(self, spark):
-        result = kmeans.run(spark, sf=SF, iterations=2)
+    def test_full_run_covers_all_points(self, spark, kmeans_run):
+        result = kmeans_run.result
         total = result.agg({"cnt": "sum"}).collect()[0][0]
         assert total == kmeans.input_df(spark, sf=SF).count()
 
@@ -137,8 +169,8 @@ class TestSVM:
             con.close()
         assert np.allclose(got, expected, atol=1e-9)
 
-    def test_training_improves_accuracy(self, spark):
-        w, acc_df = svm.run(spark, sf=SF, iterations=4)
+    def test_training_improves_accuracy(self, svm_run):
+        w, acc_df = svm_run.result
         accs = acc_df.collect()
         correct = sum(r.n_correct for r in accs)
         total = sum(r.n for r in accs)
@@ -178,3 +210,21 @@ class TestPageRank:
         # Power-law in-degrees → popular nodes collect more rank mass.
         ranks = pagerank.run(spark, sf=SF, iterations=3).toPandas()
         assert ranks["rank"].max() > 3 * ranks["rank"].median()
+
+
+class TestCacheLifetimes:
+    """An iterative job holds a cache only while it reads it (§3.3)."""
+
+    @pytest.mark.parametrize("job", ["kmeans_run", "svm_run", "pagerank_run"])
+    def test_run_releases_its_cache(self, request, job):
+        run = request.getfixturevalue(job)
+        assert run.persisted_after == run.persisted_before
+
+    @pytest.mark.parametrize("job", ["kmeans_run", "svm_run"])
+    def test_result_is_computed_before_the_input_is_released(self, request, job):
+        # A lazy result would re-read the input after ``unpersist``; a
+        # computed one is a local relation that reads no input at all.
+        result = request.getfixturevalue(job).result
+        df = result[1] if job == "svm_run" else result
+        plan = df._jdf.queryExecution().optimizedPlan()
+        assert plan.getClass().getSimpleName() == "LocalRelation"
