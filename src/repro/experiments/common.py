@@ -15,12 +15,12 @@ from ..workloads import dominant_pool, workload_model
 def default_config(name: str, cluster: ClusterSpec = CLUSTER_A) -> MemoryConfig:
     """The MaxResourceAllocation default as applied to one workload.
 
-    PageRank does not shuffle through the unified pool (Table 6: M_s=0),
-    so its whole default unified fraction (0.6) acts as Cache Capacity —
-    matching the Table 5 "default" row.
+    A workload that does not shuffle through the unified pool (Table 6:
+    M_s=0; of the six, PageRank) gets its whole default unified fraction
+    (0.6) as Cache Capacity — matching the Table 5 "default" row.
     """
     cfg = max_resource_allocation(cluster)
-    if name == "PageRank":
+    if workload_model(name).shuffle_task_mb == 0:
         cfg = replace(cfg, cache_capacity=0.6, shuffle_capacity=0.0)
     return cfg
 

@@ -2,15 +2,13 @@
 the MaxResourceAllocation default, with failed-container counts (§6.2).
 
 Reads Table 8's recommendations (its sessions run once per process);
-the default run itself is the denominator (an aborted default —
-PageRank — uses its wall time until abort, as the paper's Figure does).
+the runner's ``"Default"`` session is the denominator (an aborted
+default — PageRank — uses its wall time until abort, as the paper does).
 """
 from __future__ import annotations
 
-from ..cluster import CLUSTER_A
-from ..simcluster import simulate
-from ..workloads import SUITE, workload_model
-from .common import default_config
+from ..workloads import SUITE
+from .sessions import session
 from .table8_recommendations import POLICIES, recommend_all
 from .tables import Table
 
@@ -32,7 +30,7 @@ def run() -> Table:
                  "paper (rel, failures)", "ours (rel)", "our failures"],
     )
     for name in SUITE:
-        base = simulate(workload_model(name), default_config(name), CLUSTER_A)
+        base = session(name, "A", "Default", 0, "cherrypick")[0].best
         recs = recommend_all(name)
         for policy in POLICIES:
             rec = recs[policy]

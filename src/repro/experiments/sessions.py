@@ -11,7 +11,9 @@ here alone, as a stop rule:
 * an integer: a DDPG step budget (Table 8: 10; Figure 27: 30 and 5).
 
 Exhaustive is :func:`~repro.experiments.common.grid_runtimes`, the §6.1
-sweep's one cache, whatever the stop rule. RelM is not a search.
+sweep's one cache, whatever the stop rule. ``"Default"``
+(MaxResourceAllocation) and ``"RelM"`` ignore it too: each is one run, of
+the default or of RelM's recommendation from the seed's profile.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..cluster import cluster_by_name
+from ..core import relm_recommend
 from ..tuners.base import ConfigSpace, Objective, TuningResult
 from ..tuners.bo import bayesian_optimize
 from ..tuners.ddpg import DDPGAgent, ddpg_tune
@@ -44,7 +47,20 @@ def session(name: str, cluster_name: str, policy: str, seed: int, stop: str | in
     session is the same cache key."""
     if policy == "Exhaustive":
         return grid_runtimes(name, cluster_name, seed), None
+    if policy in ("Default", "RelM"):
+        return _probe(name, cluster_name, policy, seed), None
     return _search(name, cluster_name, policy, seed, stop)
+
+
+@lru_cache(maxsize=None)
+def _probe(name: str, cluster_name: str, policy: str, seed: int, /) -> TuningResult:
+    """The one run of a policy that is not a search."""
+    cluster = cluster_by_name(cluster_name)
+    cfg = (relm_recommend(profiled_stats(name, cluster_name, seed), cluster)[0] if policy == "RelM"
+           else default_config(name, cluster))
+    objective = Objective(workload_model(name), cluster, seed=seed)
+    objective(cfg)
+    return objective.result()
 
 
 @lru_cache(maxsize=None)

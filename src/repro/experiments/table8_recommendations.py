@@ -5,19 +5,15 @@ configuration; BO/GBO bootstrap from the Table 7 LHS samples and stop by
 the CherryPick rule (EI < 10% and ≥ 6 adaptive samples); DDPG stops
 after 10 new samples; RelM recommends from a single (re-)profiled run.
 
-The four tuning sessions of each application come from the session
-runner (:func:`~repro.experiments.sessions.session`); Tables 9 and 10
-and Figure 17 read the same runs. A session
-recommends the best run it observed, so only RelM's recommendation is
-simulated here.
+The five sessions of each application come from the session runner
+(:func:`~repro.experiments.sessions.session`); Tables 9 and 10 and
+Figure 17 read the same runs. A session recommends the best run it
+observed, so nothing is simulated here.
 """
 from __future__ import annotations
 
-from ..cluster import CLUSTER_A
-from ..core import relm_recommend
-from ..simcluster import SimulatedRun, simulate
-from ..workloads import SUITE, workload_model
-from .common import profiled_stats
+from ..simcluster import SimulatedRun
+from ..workloads import SUITE
 from .sessions import session
 from .tables import Table, config_str
 
@@ -65,14 +61,9 @@ POLICIES = ("Exhaustive", "DDPG", "BO", "GBO", "RelM")
 
 def recommend_all(name: str) -> dict[str, SimulatedRun]:
     """Each of the five policies' recommended run on one workload: the
-    :attr:`~repro.tuners.base.TuningResult.best` sample each of the four
-    tuning sessions observed, and RelM's recommendation, simulated
-    (the one configuration no session ran)."""
-    relm, _, _ = relm_recommend(profiled_stats(name, "A", 0), CLUSTER_A)
-    return {
-        policy: session(name, "A", policy, 0, 10 if policy == "DDPG" else "cherrypick")[0].best
-        for policy in POLICIES[:-1]
-    } | {"RelM": simulate(workload_model(name), relm, CLUSTER_A)}
+    :attr:`~repro.tuners.base.TuningResult.best` sample of its session."""
+    return {policy: session(name, "A", policy, 0, 10 if policy == "DDPG" else "cherrypick")[0].best
+            for policy in POLICIES}
 
 
 def run() -> Table:

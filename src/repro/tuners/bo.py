@@ -101,11 +101,11 @@ def bayesian_optimize(
         # around the incumbent (the random + gradient-search combo of
         # §5.1, adapted to a mixed discrete/continuous space).
         inc = space.encode(config_rows([objective.best().config]))
-        cands = np.vstack([
-            space.decode(rng.random((N_CANDIDATES, space.dim))),
-            grid,
-            space.decode(inc + rng.normal(0.0, NEIGHBOR_STEP, (N_NEIGHBORS, space.dim))),
-        ])
+        drawn = space.decode(np.vstack([
+            rng.random((N_CANDIDATES, space.dim)),
+            inc + rng.normal(0.0, NEIGHBOR_STEP, (N_NEIGHBORS, space.dim)),
+        ]))
+        cands = np.vstack([drawn[:N_CANDIDATES], grid, drawn[N_CANDIDATES:]])
         # Drop repeats, keeping each row's first occurrence in order.
         _, first = np.unique(space.keys(cands), return_index=True)
         cands = cands[np.sort(first)]

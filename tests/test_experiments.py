@@ -6,6 +6,7 @@ import inspect
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,10 +29,13 @@ from repro.experiments import (
 )
 from repro.experiments.__main__ import NAMES
 from repro.experiments.tables import CACHE_GRID_KNOBS, Table, config_str
-from repro.config import MemoryConfig
+from repro.cluster import CLUSTER_A, CLUSTER_B
+from repro.config import MemoryConfig, max_resource_allocation
+from repro.core import relm_recommend
 from repro.tuners import exhaustive
 from repro.tuners.ddpg import WARMUP_STEPS
 from repro.workloads import SUITE
+from repro.workloads.base import MODELS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,6 +55,17 @@ class TestTableContainer:
     def test_config_str(self):
         s = config_str(MemoryConfig(2, 1, 0.4, 0.1, 3))
         assert s == "(2, 1, 0.4, 0.1, 3)"
+
+
+class TestDefaultConfig:
+    @pytest.mark.parametrize("cluster", [CLUSTER_A, CLUSTER_B], ids=["A", "B"])
+    def test_only_pagerank_moves_its_pool_to_cache(self, cluster):
+        # The rule reads M_s = 0 off the model; of the six, only
+        # PageRank has no shuffle (Table 6).
+        mra = max_resource_allocation(cluster)
+        for name in MODELS:
+            expected = replace(mra, cache_capacity=0.6, shuffle_capacity=0.0) if name == "PageRank" else mra
+            assert common.default_config(name, cluster) == expected, name
 
 
 class TestTable4:
@@ -117,21 +132,12 @@ class TestTable8:
             "96a45b3909f84c95daaf646410a6dede4f28e382d4d80f085aeb7285c6d6985c"
         )
 
-    def test_simulates_only_relm(self, monkeypatch):
-        # The four sessions already ran their best configurations; only
-        # RelM's recommendation is new to the simulator.
-        calls = []
-        real = table8_recommendations.simulate
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(table8_recommendations, "simulate", counting)
+    def test_relm_row_is_the_runner_session(self):
+        # RelM's recommendation is simulated once per process, by its
+        # session, like the four searches' best runs.
         for name in table8_recommendations.SUITE:
-            calls.clear()
-            recs = table8_recommendations.recommend_all(name)
-            assert calls == [recs["RelM"].config]
+            assert (table8_recommendations.recommend_all(name)["RelM"]
+                    is sessions.session(name, "A", "RelM", 0, "cherrypick")[0].best)
 
 
 class TestTable9:
@@ -202,23 +208,31 @@ class TestTpchRelm:
 class TestSessionRunner:
     def test_only_the_runner_calls_the_tuners(self):
         # Each §6.2 protocol (bootstrap, caps, stop) is spelled once: in
-        # sessions.py. The §6.1 sweep is common.grid_runtimes, and Figure
-        # 27's cross test hands a copy of a trained agent to DDPG.
+        # sessions.py, which also runs the default and RelM's
+        # recommendation. The §6.1 sweep and the profile are in
+        # common.py, Figure 27's cross test hands a copy of a trained
+        # agent to DDPG, Table 10 times RelM, Table 5 runs its four
+        # hand-set configurations and Figure 21 counts RelM's profiling runs.
         calls = []
         for path in sorted((ROOT / "src/repro/experiments").glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Call):
                     f = node.func
                     name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                    if name in ("bayesian_optimize", "guided_bayesian_optimize",
-                                "exhaustive_search", "ddpg_tune"):
+                    if name in ("bayesian_optimize", "guided_bayesian_optimize", "exhaustive_search",
+                                "ddpg_tune", "simulate", "relm_recommend", "profile_with_full_gc"):
                         calls.append((path.name, name))
         assert sorted(calls) == [
             ("common.py", "exhaustive_search"),
+            ("common.py", "profile_with_full_gc"),
             ("fig27_ddpg_generality.py", "ddpg_tune"),
             ("sessions.py", "bayesian_optimize"),
             ("sessions.py", "ddpg_tune"),
             ("sessions.py", "guided_bayesian_optimize"),
+            ("sessions.py", "relm_recommend"),
+            ("table10_overheads.py", "relm_recommend"),
+            ("table5_manual_pagerank.py", "simulate"),
+            ("tpch_relm.py", "profile_with_full_gc"),
         ]
 
     def test_sweeps_the_grid_once_per_app(self, monkeypatch):
@@ -245,9 +259,19 @@ class TestFig16:
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError, match="policy"):
             sessions.session("SVM", "A", "BO-XGB", 0, "top5")
-        # RelM is not a search: Figure 16 charges its one default run itself.
-        with pytest.raises(ValueError, match="policy"):
-            sessions.session("SVM", "A", "RelM", 0, "top5")
+
+    def test_default_and_relm_are_one_run_sessions(self):
+        for policy in ("Default", "RelM"):
+            res, agent = sessions.session("SVM", "A", policy, 0, "top5")
+            assert agent is None and res.iterations == 1
+            assert res.total_observation_sec == res.best.runtime_sec
+        assert sessions.session("SVM", "A", "Default", 0, "top5")[0].best.config == common.default_config("SVM")
+        assert (sessions.session("SVM", "A", "RelM", 0, "top5")[0].best.config
+                == relm_recommend(common.profiled_stats("SVM", "A", 0), CLUSTER_A)[0])
+        # The stop rule does not apply: Figure 16 (RelM's cost) and
+        # Figure 17 (the denominator) read one Default session.
+        assert (sessions.session("SVM", "A", "Default", 0, "top5")[0]
+                is sessions.session("SVM", "A", "Default", 0, "cherrypick")[0])
 
     def test_fig26_gp_session_hits_fig16_cache(self, monkeypatch):
         # Record how each figure spells its session calls, then replay

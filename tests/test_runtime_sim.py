@@ -1,12 +1,14 @@
 """SimulatedRun behavior: determinism, structure, failure accounting."""
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.cluster import CLUSTER_A, CLUSTER_B
 from repro.config import MemoryConfig, max_resource_allocation
 from repro.simcluster import simulate
 from repro.tuners.base import ConfigSpace
+from repro.tuners.lhs import lhs_configs
 from repro.workloads import SUITE, dominant_pool, workload_model
 from repro.workloads.base import MODELS
 
@@ -91,6 +93,17 @@ class TestFullGcPresence:
         assert r.full_gc_events > 0
 
 
+def _run_line(r) -> str:
+    """One run's fields to the bit: its runtime, failures, full GCs,
+    utilisations, GC terms and the layout's float fields."""
+    lay = [v.hex() for v in vars(r.layout).values() if isinstance(v, float)]
+    return " ".join([
+        r.runtime_sec.hex(), str(r.failed_containers), str(r.aborted),
+        str(r.full_gc_events), r.cpu_avg_pct.hex(), r.disk_avg_pct.hex(),
+        *(float(v).hex() for v in vars(r.gc).values()), *lay,
+    ])
+
+
 class TestGridFingerprint:
     def test_grid_runs_are_bit_identical(self):
         # Every §6.1 grid row of the six models on Clusters A and B at
@@ -103,14 +116,33 @@ class TestGridFingerprint:
                 model = workload_model(name)
                 for cfg in ConfigSpace(cluster, dominant_pool(name)).grid():
                     for seed in (0, 1):
-                        r = simulate(model, cfg, cluster, seed=seed)
-                        lay = [v.hex() for v in vars(r.layout).values() if isinstance(v, float)]
-                        lines.append(" ".join([
-                            r.runtime_sec.hex(), str(r.failed_containers), str(r.aborted),
-                            str(r.full_gc_events), r.cpu_avg_pct.hex(), r.disk_avg_pct.hex(),
-                            *(float(v).hex() for v in vars(r.gc).values()), *lay,
-                        ]))
+                        lines.append(_run_line(simulate(model, cfg, cluster, seed=seed)))
         assert len(lines) == 4800
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
             "044a74e57366039c206931235e3a06a0822eff486f435359e03cec942e83f244"
+        )
+
+
+class TestOffGridFingerprint:
+    def test_off_grid_runs_are_bit_identical(self):
+        # The configurations the tuners and the benchmark probe besides
+        # the §6.1 grid: every 5th row of the dense grid (pool fractions
+        # in 0.05 steps, NewRatio 1–9, every Task Concurrency under the
+        # core cap), 200 decoded unit-cube points and the LHS bootstraps
+        # of seeds 0–2, for the six models on Clusters A and B at seeds 0–1.
+        lines = []
+        for cluster in (CLUSTER_A, CLUSTER_B):
+            for name in MODELS:
+                model = workload_model(name)
+                space = ConfigSpace(cluster, dominant_pool(name))
+                dense = [space.config(n, p, round(0.05 * k, 2), nr)
+                         for n in range(1, cluster.max_containers_per_node + 1)
+                         for p in range(1, cluster.cores_per_node // n + 1)
+                         for k in range(1, 19) for nr in range(1, 10)]
+                cfgs = (dense[::5] + space.configs(space.decode(np.random.default_rng(0).random((200, 4))))
+                        + [c for s in range(3) for c in lhs_configs(space, np.random.default_rng(s))])
+                lines += [_run_line(simulate(model, cfg, cluster, seed=seed)) for cfg in cfgs for seed in (0, 1)]
+        assert len(lines) == 24156
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "e6e23ec72505852ee4ee5c7247dbe4a82ae374939b307f9f69aa6af79da4c08f"
         )
