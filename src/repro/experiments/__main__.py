@@ -35,7 +35,7 @@ def main(args: list[str]) -> None:
     for i, name in enumerate(names):
         if i:
             print()
-        importlib.import_module(f"{__package__}.{name}").run().print()
+        print(importlib.import_module(f"{__package__}.{name}").run().to_markdown())
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Each black-box policy is trained until it finds a configuration inside
 the top 5 percentile of Exhaustive Search; the reported overhead is the
 total (simulated) observation time relative to Exhaustive Search's
 full-grid sweep, with the iteration count alongside — exactly the bars
-and labels of Figure 16. RelM's overhead is its profiling run(s).
+and labels of Figure 16. RelM is charged one run, the Default session's.
 
 The sessions are the runner's ``"top5"`` ones
 (:func:`~repro.experiments.sessions.session`); Figure 26's GP rows read
@@ -53,13 +53,6 @@ def run() -> Table:
                    else [session(name, "A", policy, s, "top5")[0] for s in SEEDS])
             obs, iters = [r.total_observation_sec for r in res], [r.iterations for r in res]
             p_pct, p_iter = PAPER[name][policy]
-            t.add(
-                application=name,
-                policy=policy,
-                **{
-                    "paper (% of exhaustive, iters)": f"{p_pct}, {p_iter}",
-                    "ours (% of exhaustive)": f"{100 * float(np.mean(obs)) / ex:.1f}%",
-                    "our iters (mean)": f"{float(np.mean(iters)):.0f}",
-                },
-            )
+            t.add(name, policy, f"{p_pct}, {p_iter}", f"{100 * float(np.mean(obs)) / ex:.1f}%",
+                  f"{float(np.mean(iters)):.0f}")
     return t

@@ -35,14 +35,7 @@ def run() -> Table:
         for policy in POLICIES:
             rec = recs[policy]
             p_rel, p_fail = PAPER[name][policy]
-            t.add(
-                application=name,
-                **{
-                    "default (min)": f"{base.runtime_min:.1f}" + (" (aborted)" if base.aborted else ""),
-                    "policy": policy,
-                    "paper (rel, failures)": f"~{p_rel:.2f}, {p_fail}",
-                    "ours (rel)": f"{rec.runtime_sec / base.runtime_sec:.2f}",
-                    "our failures": str(rec.failed_containers) + (" (aborted)" if rec.aborted else ""),
-                },
-            )
+            t.add(name, f"{base.runtime_min:.1f}" + (" (aborted)" if base.aborted else ""), policy,
+                  f"~{p_rel:.2f}, {p_fail}", f"{rec.runtime_sec / base.runtime_sec:.2f}",
+                  str(rec.failed_containers) + (" (aborted)" if rec.aborted else ""))
     return t

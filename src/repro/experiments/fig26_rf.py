@@ -27,12 +27,5 @@ def run() -> Table:
         for surrogate, suffix in (("GP", ""), ("RF", "-RF")):
             bo = [session(name, "A", "BO" + suffix, s, "top5")[0].iterations for s in SEEDS]
             gbo = [session(name, "A", "GBO" + suffix, s, "top5")[0].iterations for s in SEEDS]
-            t.add(
-                application=name,
-                surrogate=surrogate,
-                **{
-                    "BO iters (mean)": f"{float(np.mean(bo)):.0f}",
-                    "GBO iters (mean)": f"{float(np.mean(gbo)):.0f}",
-                },
-            )
+            t.add(name, surrogate, f"{float(np.mean(bo)):.0f}", f"{float(np.mean(gbo)):.0f}")
     return t

@@ -49,6 +49,5 @@ def run() -> Table:
         ("DDPG_cold^B", CROSS_TEST_SAMPLES,  # cold, same budget as the cross test
          session(NAME, "B", "DDPG", 1, CROSS_TEST_SAMPLES)[0]),
     ):
-        best = f"{res.best_runtime_sec / 60:.1f}"
-        t.add(agent=label, **{"samples on B": str(steps), "best runtime on B (min)": best})
+        t.add(label, str(steps), f"{res.best.runtime_min:.1f}")
     return t

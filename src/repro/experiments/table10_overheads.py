@@ -105,5 +105,5 @@ def run() -> Table:
     )
     for comp, label in (("stats", "Statistics Collection"), ("fit", "Model Fitting"),
                         ("probe", "Model Probing"), ("size", "Model Size")):
-        t.add(component=label, **{f"{p} (paper / ours)": f"{PAPER[p][comp]} / {measured[p][comp]}" for p in PAPER})
+        t.add(label, *(f"{PAPER[p][comp]} / {measured[p][comp]}" for p in PAPER))
     return t

@@ -33,5 +33,5 @@ def run() -> Table:
         columns=["parameter", "paper", "ours"],
     )
     for k, v in PAPER.items():
-        t.add(parameter=k, paper=v, ours=ours[k])
+        t.add(k, v, ours[k])
     return t

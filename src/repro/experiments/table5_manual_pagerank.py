@@ -45,16 +45,7 @@ def run() -> Table:
             new_ratio=nr,
         )
         r = simulate(model, cfg, CLUSTER_A)
-        t.add(
-            containers=n,
-            task_concurrency=p,
-            cache_capacity=cache,
-            new_ratio=nr,
-            paper_runtime=f"{p_rt}{' (aborted)' if p_ab else ''}",
-            runtime=f"{r.runtime_min:.0f}{' (aborted)' if r.aborted else ''}",
-            paper_hit_ratio=f"{p_h:.2f}",
-            hit_ratio=f"{r.layout.cache_hit_ratio:.2f}",
-            paper_gc=f"{p_gc:.2f}",
-            gc=f"{r.gc_overhead:.2f}",
-        )
+        t.add(n, p, cache, nr, f"{p_rt}{' (aborted)' if p_ab else ''}",
+              f"{r.runtime_min:.0f}{' (aborted)' if r.aborted else ''}", f"{p_h:.2f}",
+              f"{r.layout.cache_hit_ratio:.2f}", f"{p_gc:.2f}", f"{r.gc_overhead:.2f}")
     return t

@@ -46,5 +46,5 @@ def run() -> Table:
         columns=["notation", "description", "paper", "ours"],
     )
     for k, desc in DESCRIPTIONS.items():
-        t.add(notation=k, description=desc, paper=PAPER[k], ours=ours[k])
+        t.add(k, desc, PAPER[k], ours[k])
     return t

@@ -27,11 +27,5 @@ def run() -> Table:
         ],
     )
     for i, (pc, oc) in enumerate(zip(paper, ours)):
-        t.add(
-            sample=str(i),
-            **{
-                "paper (n, p, pool, NR)": config_str(pc, CACHE_GRID_KNOBS),
-                "our draw (n, p, pool, NR)": config_str(oc, CACHE_GRID_KNOBS),
-            },
-        )
+        t.add(str(i), config_str(pc, CACHE_GRID_KNOBS), config_str(oc, CACHE_GRID_KNOBS))
     return t

@@ -75,15 +75,7 @@ def run() -> Table:
         recs = recommend_all(name)
         for policy in POLICIES:
             rec = recs[policy]
-            t.add(
-                application=name,
-                policy=policy,
-                **{
-                    "paper (n, p, cache, shuffle, NR)": str(PAPER[name][policy]),
-                    "ours": config_str(rec.config),
-                    "our runtime (min)": f"{rec.runtime_sec / 60:.1f}"
-                    + (" (aborted)" if rec.aborted else "")
-                    + (f" [{rec.failed_containers} failed]" if rec.failed_containers else ""),
-                },
-            )
+            t.add(name, policy, str(PAPER[name][policy]), config_str(rec.config),
+                  f"{rec.runtime_min:.1f}" + (" (aborted)" if rec.aborted else "")
+                  + (f" [{rec.failed_containers} failed]" if rec.failed_containers else ""))
     return t

@@ -41,13 +41,6 @@ def run() -> Table:
             paper_cfg, paper_rt = f"({a}, {b}, {c:g}, {d})", f"{prt:.1f}"
         else:
             paper_cfg, paper_rt = "—", "—"
-        t.add(
-            **{
-                "sample #": str(num),
-                "config (n, p, cache, NR)": config_str(s.config, CACHE_GRID_KNOBS),
-                "runtime (min)": f"{s.runtime_sec / 60:.1f}" + (" (aborted)" if s.aborted else ""),
-                "paper config": paper_cfg,
-                "paper runtime (min)": paper_rt,
-            }
-        )
+        t.add(str(num), config_str(s.config, CACHE_GRID_KNOBS),
+              f"{s.runtime_min:.1f}" + (" (aborted)" if s.aborted else ""), paper_cfg, paper_rt)
     return t

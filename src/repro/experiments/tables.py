@@ -6,19 +6,19 @@ from dataclasses import dataclass, field
 
 @dataclass
 class Table:
-    """An ordered table of result rows (all values already stringified
-    or plain scalars) with a title and optional notes."""
+    """An ordered table of rows, each mapping the columns to its cells
+    (strings or plain scalars), with a title and optional notes."""
 
     title: str
     columns: list[str]
     rows: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def add(self, **row) -> None:
-        missing = [c for c in self.columns if c not in row]
-        if missing:
-            raise ValueError(f"row missing columns {missing}")
-        self.rows.append(row)
+    def add(self, *cells) -> None:
+        """Append a row: one cell per column, in column order."""
+        if len(cells) != len(self.columns):
+            raise ValueError(f"row has {len(cells)} cells for {len(self.columns)} columns")
+        self.rows.append(dict(zip(self.columns, cells)))
 
     def to_markdown(self) -> str:
         out = [f"### {self.title}", ""]
@@ -30,9 +30,6 @@ class Table:
             out.append("")
             out.append(f"*{n}*")
         return "\n".join(out)
-
-    def print(self) -> None:  # pragma: no cover - console convenience
-        print(self.to_markdown())
 
 
 def _fmt(v) -> str:

@@ -30,22 +30,8 @@ def run() -> Table:
                  "paper total (min)", "our total (min)", "saving"],
         notes=[f"RelM used {attempts} profiling run(s)."],
     )
-    t.add(
-        policy="MaxResourceAllocation",
-        **{
-            "config (n, p, cache, shuffle, NR)": config_str(base.config),
-            "paper total (min)": f"{PAPER_DEFAULT_MIN:.0f}",
-            "our total (min)": f"{base.runtime_min:.0f}",
-            "saving": "—",
-        },
-    )
-    t.add(
-        policy="RelM",
-        **{
-            "config (n, p, cache, shuffle, NR)": config_str(tuned.config),
-            "paper total (min)": f"{PAPER_RELM_MIN:.0f} (40% saving)",
-            "our total (min)": f"{tuned.runtime_min:.0f}",
-            "saving": f"{100 * (1 - tuned.runtime_sec / base.runtime_sec):.0f}%",
-        },
-    )
+    t.add("MaxResourceAllocation", config_str(base.config), f"{PAPER_DEFAULT_MIN:.0f}",
+          f"{base.runtime_min:.0f}", "—")
+    t.add("RelM", config_str(tuned.config), f"{PAPER_RELM_MIN:.0f} (40% saving)", f"{tuned.runtime_min:.0f}",
+          f"{100 * (1 - tuned.runtime_sec / base.runtime_sec):.0f}%")
     return t

@@ -1,6 +1,6 @@
 """Bayesian Optimization tuner (paper §5.1) and its guided variant hook.
 
-The SMBO loop: bootstrap with 4 LHS samples (Table 7), then repeatedly
+The SMBO loop: probe the caller's LHS bootstrap (Table 7), then repeatedly
 fit the surrogate on penalized objectives, pick the candidate with the
 highest Expected Improvement (random candidate sweep + local
 neighborhood refinement standing in for the paper's
@@ -26,7 +26,6 @@ import numpy as np
 from ..config import MemoryConfig, config_rows
 from .base import ConfigSpace, Objective, TuningResult
 from .gp import GaussianProcess, expected_improvement
-from .lhs import lhs_configs
 
 
 class Surrogate(Protocol):  # pragma: no cover - typing only
@@ -55,7 +54,7 @@ def bayesian_optimize(
     *,
     seed: int = 0,
     feature_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-    bootstrap: list[MemoryConfig] | None = None,
+    bootstrap: list[MemoryConfig],
     surrogate_fit: Callable[[np.ndarray, np.ndarray], Surrogate] | None = None,
     max_iters: int = DEFAULT_MAX_ITERS,
     target_runtime_sec: float | None = None,
@@ -79,8 +78,7 @@ def bayesian_optimize(
     # i.e. an EI threshold of log(1.1).
     ei_stop = float(np.log1p(EI_STOP_FRACTION))
 
-    boot = bootstrap if bootstrap is not None else lhs_configs(space, rng)
-    for cfg in boot:
+    for cfg in bootstrap:
         objective(cfg)
 
     grid = space.grid_rows()

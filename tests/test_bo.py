@@ -1,5 +1,6 @@
 """BO / GBO tuning loops (§5.1, §5.2) and the objective runner."""
 import hashlib
+import inspect
 from dataclasses import fields, replace
 
 import numpy as np
@@ -209,7 +210,7 @@ class TestBayesianOptimize:
     def test_best_is_min_clean(self):
         space = ConfigSpace(CLUSTER_A, "cache")
         obj = Objective(workload_model("SVM"), CLUSTER_A)
-        res = bayesian_optimize(obj, space, seed=0)
+        res = bayesian_optimize(obj, space, seed=0, bootstrap=lhs_configs(space, np.random.default_rng(0)))
         clean = [s for s in res.samples if not s.aborted]
         assert res.best_runtime_sec == min(s.runtime_sec for s in clean if s.objective == min(c.objective for c in clean))
 
@@ -224,7 +225,8 @@ class TestBayesianOptimize:
         space = ConfigSpace(CLUSTER_A, "cache")
         thr = top5_threshold("SVM", "A", 0)
         obj = Objective(workload_model("SVM"), CLUSTER_A)
-        res = bayesian_optimize(obj, space, seed=0, target_runtime_sec=thr, max_iters=60)
+        res = bayesian_optimize(obj, space, seed=0, bootstrap=lhs_configs(space, np.random.default_rng(0)),
+                                target_runtime_sec=thr, max_iters=60)
         reached = [s for s in res.samples if not s.aborted and s.runtime_sec <= thr]
         assert reached
         # Stops at the first hit: nothing after the first reaching sample.
@@ -235,8 +237,14 @@ class TestBayesianOptimize:
     def test_timing_breakdown_populated(self):
         space = ConfigSpace(CLUSTER_A, "cache")
         obj = Objective(workload_model("SVM"), CLUSTER_A)
-        res = bayesian_optimize(obj, space, seed=0)
+        res = bayesian_optimize(obj, space, seed=0, bootstrap=lhs_configs(space, np.random.default_rng(0)))
         assert res.fit_seconds > 0 and res.probe_seconds > 0
+
+    def test_bootstrap_is_required(self):
+        # The caller supplies the bootstrap; BO draws none of its own.
+        bootstrap = inspect.signature(bayesian_optimize).parameters["bootstrap"]
+        assert bootstrap.kind is inspect.Parameter.KEYWORD_ONLY
+        assert bootstrap.default is inspect.Parameter.empty
 
     def test_surrogate_fit_error_propagates_after_bootstrap(self):
         # A GP fit that fails on every lengthscale raises LinAlgError; the
@@ -255,7 +263,7 @@ class TestBayesianOptimize:
         space = ConfigSpace(CLUSTER_A, "cache")
         obj = Objective(workload_model("SVM"), CLUSTER_A)
         res = bayesian_optimize(
-            obj, space, seed=0,
+            obj, space, seed=0, bootstrap=lhs_configs(space, np.random.default_rng(0)),
             surrogate_fit=lambda x, y: RandomForest.fit(x, y, seed=0),
             max_iters=8,
         )

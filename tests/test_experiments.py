@@ -42,15 +42,25 @@ ROOT = Path(__file__).resolve().parents[1]
 
 class TestTableContainer:
     def test_add_and_render(self):
+        # A row is its cells in column order; readers look cells up by column.
         t = Table(title="T", columns=["a", "b"])
-        t.add(a=1, b=2.5)
+        t.add(1, 2.5)
         md = t.to_markdown()
         assert "| a | b |" in md and "| 1 | 2.50 |" in md
+        assert t.rows == [{"a": 1, "b": 2.5}]
 
     def test_add_rejects_missing_columns(self):
+        # A row must fill every column.
         t = Table(title="T", columns=["a", "b"])
         with pytest.raises(ValueError):
-            t.add(a=1)
+            t.add(1)
+        assert t.rows == []
+
+    def test_add_rejects_extra_cells(self):
+        t = Table(title="T", columns=["a", "b"])
+        with pytest.raises(ValueError):
+            t.add(1, 2.5, 3)
+        assert t.rows == []
 
     def test_config_str(self):
         s = config_str(MemoryConfig(2, 1, 0.4, 0.1, 3))
