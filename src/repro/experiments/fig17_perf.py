@@ -10,7 +10,7 @@ from __future__ import annotations
 from ..workloads import SUITE
 from .sessions import session
 from .table8_recommendations import POLICIES, recommend_all
-from .tables import Table
+from .tables import Table, minutes
 
 #: Approximate Figure 17 bars: runtime relative to the default and the
 #: failed-container labels, read off the figure.
@@ -35,7 +35,7 @@ def run() -> Table:
         for policy in POLICIES:
             rec = recs[policy]
             p_rel, p_fail = PAPER[name][policy]
-            t.add(name, f"{base.runtime_min:.1f}" + (" (aborted)" if base.aborted else ""), policy,
+            t.add(name, minutes(base), policy,
                   f"~{p_rel:.2f}, {p_fail}", f"{rec.runtime_sec / base.runtime_sec:.2f}",
                   str(rec.failed_containers) + (" (aborted)" if rec.aborted else ""))
     return t

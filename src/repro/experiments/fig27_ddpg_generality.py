@@ -20,7 +20,7 @@ from ..tuners.ddpg import ddpg_tune
 from ..workloads import dominant_pool, workload_model
 from .common import default_config, profiled_stats
 from .sessions import session
-from .tables import Table
+from .tables import Table, minutes
 
 NAME = "SVM"
 #: Steps of a full training session, on either cluster.
@@ -49,5 +49,5 @@ def run() -> Table:
         ("DDPG_cold^B", CROSS_TEST_SAMPLES,  # cold, same budget as the cross test
          session(NAME, "B", "DDPG", 1, CROSS_TEST_SAMPLES)[0]),
     ):
-        t.add(label, str(steps), f"{res.best.runtime_min:.1f}")
+        t.add(label, str(steps), minutes(res.best))
     return t

@@ -11,7 +11,7 @@ from ..cluster import CLUSTER_A
 from ..config import MemoryConfig
 from ..simcluster import simulate
 from ..workloads import workload_model
-from .tables import Table
+from .tables import Table, minutes
 
 #: (containers, task concurrency, cache capacity, NewRatio) → paper's
 #: (runtime minutes, aborted, cache hit ratio, GC overheads).
@@ -37,15 +37,7 @@ def run() -> Table:
         ],
     )
     for (n, p, cache, nr), (p_rt, p_ab, p_h, p_gc) in ROWS:
-        cfg = MemoryConfig(
-            containers_per_node=n,
-            task_concurrency=p,
-            cache_capacity=cache,
-            shuffle_capacity=0.0,
-            new_ratio=nr,
-        )
-        r = simulate(model, cfg, CLUSTER_A)
-        t.add(n, p, cache, nr, f"{p_rt}{' (aborted)' if p_ab else ''}",
-              f"{r.runtime_min:.0f}{' (aborted)' if r.aborted else ''}", f"{p_h:.2f}",
-              f"{r.layout.cache_hit_ratio:.2f}", f"{p_gc:.2f}", f"{r.gc_overhead:.2f}")
+        r = simulate(model, MemoryConfig(n, p, cache, 0.0, nr), CLUSTER_A)
+        t.add(n, p, cache, nr, f"{p_rt}{' (aborted)' if p_ab else ''}", minutes(r, 0),
+              p_h, r.layout.cache_hit_ratio, p_gc, r.gc_overhead)
     return t

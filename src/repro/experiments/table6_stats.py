@@ -8,43 +8,30 @@ from __future__ import annotations
 from .common import profiled_stats
 from .tables import Table
 
-#: The paper's example column for PageRank.
-PAPER = {
-    "N": "1",
-    "M_h": "4404MB",
-    "CPU_avg": "35%",
-    "Disk_avg": "2%",
-    "M_i": "115MB",
-    "M_c": "2300MB",
-    "M_s": "0MB",
-    "M_u": "770MB",
-    "P": "2",
-    "H": "0.30",
-    "S": "0.00",
-}
-
-DESCRIPTIONS = {
-    "N": "Containers per Node",
-    "M_h": "Heap size",
-    "CPU_avg": "Average CPU usage",
-    "Disk_avg": "Average disk usage",
-    "M_i": "Code Overhead 90%ile value",
-    "M_c": "Cache Storage 90%ile value",
-    "M_s": "Task Shuffle 90%ile value",
-    "M_u": "Task Unmanaged 90%ile value",
-    "P": "Task Concurrency",
-    "H": "Cache Hit Ratio",
-    "S": "Data Spillage Fraction",
-}
+#: (notation, description, the paper's PageRank value, the
+#: :class:`~repro.profiler.ProfileStats` field, its format), in the
+#: paper's order.
+ROWS = (
+    ("N", "Containers per Node", "1", "containers_per_node", "{}"),
+    ("M_h", "Heap size", "4404MB", "heap_mb", "{:.0f}MB"),
+    ("CPU_avg", "Average CPU usage", "35%", "cpu_avg_pct", "{:.0f}%"),
+    ("Disk_avg", "Average disk usage", "2%", "disk_avg_pct", "{:.0f}%"),
+    ("M_i", "Code Overhead 90%ile value", "115MB", "code_mb", "{:.0f}MB"),
+    ("M_c", "Cache Storage 90%ile value", "2300MB", "cache_mb", "{:.0f}MB"),
+    ("M_s", "Task Shuffle 90%ile value", "0MB", "shuffle_task_mb", "{:.0f}MB"),
+    ("M_u", "Task Unmanaged 90%ile value", "770MB", "unmanaged_task_mb", "{:.0f}MB"),
+    ("P", "Task Concurrency", "2", "task_concurrency", "{}"),
+    ("H", "Cache Hit Ratio", "0.30", "cache_hit_ratio", "{:.2f}"),
+    ("S", "Data Spillage Fraction", "0.00", "spill_fraction", "{:.2f}"),
+)
 
 
 def run() -> Table:
     stats = profiled_stats("PageRank", "A", 0)
-    ours = dict(stats.as_table6_rows())
     t = Table(
         title="Table 6 — Statistics derived from a PageRank profile",
         columns=["notation", "description", "paper", "ours"],
     )
-    for k, desc in DESCRIPTIONS.items():
-        t.add(k, desc, PAPER[k], ours[k])
+    for notation, desc, paper, field, fmt in ROWS:
+        t.add(notation, desc, paper, fmt.format(getattr(stats, field)))
     return t

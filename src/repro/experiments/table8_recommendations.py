@@ -15,7 +15,7 @@ from __future__ import annotations
 from ..simcluster import SimulatedRun
 from ..workloads import SUITE
 from .sessions import session
-from .tables import Table, config_str
+from .tables import Table, config_str, knob_tuple, minutes
 
 #: Paper Table 8: (policy → (n, p, cache, shuffle, NR)) per application.
 PAPER = {
@@ -75,7 +75,6 @@ def run() -> Table:
         recs = recommend_all(name)
         for policy in POLICIES:
             rec = recs[policy]
-            t.add(name, policy, str(PAPER[name][policy]), config_str(rec.config),
-                  f"{rec.runtime_min:.1f}" + (" (aborted)" if rec.aborted else "")
-                  + (f" [{rec.failed_containers} failed]" if rec.failed_containers else ""))
+            t.add(name, policy, knob_tuple(PAPER[name][policy]), config_str(rec.config),
+                  minutes(rec) + (f" [{rec.failed_containers} failed]" if rec.failed_containers else ""))
     return t

@@ -10,7 +10,7 @@ session runner (:func:`~repro.experiments.sessions.session`).
 from __future__ import annotations
 
 from .sessions import session
-from .tables import CACHE_GRID_KNOBS, Table, config_str
+from .tables import CACHE_GRID_KNOBS, Table, config_str, knob_tuple, minutes
 
 #: Paper Table 9 rows: (sample #, n, p, cache, NR, runtime minutes).
 PAPER = [
@@ -35,12 +35,9 @@ def run() -> Table:
         notes=["Sample # 0 rows are the LHS bootstrap (paper Table 7)."],
     )
     for i, s in enumerate(session("SVM", "A", "BO", 0, "cherrypick")[0].samples):
-        num = 0 if i < 4 else i - 3
         if i < len(PAPER):
-            pn, a, b, c, d, prt = PAPER[i]
-            paper_cfg, paper_rt = f"({a}, {b}, {c:g}, {d})", f"{prt:.1f}"
+            paper_cfg, paper_rt = knob_tuple(PAPER[i][1:5]), f"{PAPER[i][5]:.1f}"
         else:
             paper_cfg, paper_rt = "—", "—"
-        t.add(str(num), config_str(s.config, CACHE_GRID_KNOBS),
-              f"{s.runtime_min:.1f}" + (" (aborted)" if s.aborted else ""), paper_cfg, paper_rt)
+        t.add(str(max(0, i - 3)), config_str(s.config, CACHE_GRID_KNOBS), minutes(s), paper_cfg, paper_rt)
     return t

@@ -43,8 +43,19 @@ def _fmt(v) -> str:
 CACHE_GRID_KNOBS = ("containers_per_node", "task_concurrency", "cache_capacity", "new_ratio")
 
 
+def knob_tuple(values) -> str:
+    """A knob tuple as the tables print it: ``(2, 1, 0.4, 0.1, 3)``."""
+    return "(" + ", ".join(f"{v:g}" for v in values) + ")"
+
+
 def config_str(cfg, knobs=None) -> str:
-    """Compact knob-tuple rendering used across tables: (n, p, cache,
-    shuffle, NR), or only the ``as_row()`` columns named in ``knobs``."""
+    """A config's knob tuple: (n, p, cache, shuffle, NR), or only the
+    ``as_row()`` columns named in ``knobs``."""
     r = cfg.as_row()
-    return "(" + ", ".join(f"{r[k]:g}" for k in knobs or r) + ")"
+    return knob_tuple(r[k] for k in knobs or r)
+
+
+def minutes(run, digits=1) -> str:
+    """A run's runtime cell: minutes, marked ``(aborted)`` when Spark
+    gave up on the run."""
+    return f"{run.runtime_min:.{digits}f}" + (" (aborted)" if run.aborted else "")

@@ -13,7 +13,7 @@ from ..cluster import CLUSTER_B
 from ..profiler import profile_with_full_gc
 from ..workloads import workload_model
 from .sessions import session
-from .tables import Table, config_str
+from .tables import Table, config_str, minutes
 
 PAPER_DEFAULT_MIN = 66.0
 PAPER_RELM_MIN = 40.0
@@ -30,8 +30,7 @@ def run() -> Table:
                  "paper total (min)", "our total (min)", "saving"],
         notes=[f"RelM used {attempts} profiling run(s)."],
     )
-    t.add("MaxResourceAllocation", config_str(base.config), f"{PAPER_DEFAULT_MIN:.0f}",
-          f"{base.runtime_min:.0f}", "—")
-    t.add("RelM", config_str(tuned.config), f"{PAPER_RELM_MIN:.0f} (40% saving)", f"{tuned.runtime_min:.0f}",
+    t.add("MaxResourceAllocation", config_str(base.config), f"{PAPER_DEFAULT_MIN:.0f}", minutes(base, 0), "—")
+    t.add("RelM", config_str(tuned.config), f"{PAPER_RELM_MIN:.0f} (40% saving)", minutes(tuned, 0),
           f"{100 * (1 - tuned.runtime_sec / base.runtime_sec):.0f}%")
     return t

@@ -45,22 +45,6 @@ class ProfileStats:
     spill_fraction: float  # S
     from_full_gc: bool  # whether M_u came from full-GC snapshots
 
-    def as_table6_rows(self) -> list[tuple[str, str]]:
-        """(notation, value) rows in the paper's Table 6 order."""
-        return [
-            ("N", str(self.containers_per_node)),
-            ("M_h", f"{self.heap_mb:.0f}MB"),
-            ("CPU_avg", f"{self.cpu_avg_pct:.0f}%"),
-            ("Disk_avg", f"{self.disk_avg_pct:.0f}%"),
-            ("M_i", f"{self.code_mb:.0f}MB"),
-            ("M_c", f"{self.cache_mb:.0f}MB"),
-            ("M_s", f"{self.shuffle_task_mb:.0f}MB"),
-            ("M_u", f"{self.unmanaged_task_mb:.0f}MB"),
-            ("P", str(self.task_concurrency)),
-            ("H", f"{self.cache_hit_ratio:.2f}"),
-            ("S", f"{self.spill_fraction:.2f}"),
-        ]
-
 
 def generate_stats(profile: AppProfile) -> ProfileStats:
     """Derive the Table 6 statistics from an application profile."""

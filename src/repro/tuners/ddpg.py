@@ -198,7 +198,7 @@ def ddpg_tune(
     initial_config: MemoryConfig,
     *,
     seed: int = 0,
-    max_steps: int = 10,
+    max_steps: int,
     agent: DDPGAgent | None = None,
     stop_runtime_sec: float | None = None,
 ) -> tuple[TuningResult, DDPGAgent]:

@@ -1,4 +1,6 @@
 """DDPG tuner (§5.3): network gradients, reward shaping, tuning loop."""
+import inspect
+
 import numpy as np
 import pytest
 
@@ -162,3 +164,8 @@ class TestDdpgTune:
         )
         assert agent2 is agent
         assert len(agent.replay) == n0 + 3
+
+    def test_max_steps_is_required(self):
+        # Every session states its own step budget; there is no default.
+        param = inspect.signature(ddpg_tune).parameters["max_steps"]
+        assert param.default is inspect.Parameter.empty

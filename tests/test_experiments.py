@@ -6,7 +6,7 @@ import inspect
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,13 +28,15 @@ from repro.experiments import (
     tpch_relm,
 )
 from repro.experiments.__main__ import NAMES
-from repro.experiments.tables import CACHE_GRID_KNOBS, Table, config_str
+from repro.experiments.tables import CACHE_GRID_KNOBS, Table, config_str, knob_tuple, minutes
 from repro.cluster import CLUSTER_A, CLUSTER_B
 from repro.config import MemoryConfig, max_resource_allocation
 from repro.core import relm_recommend
+from repro.profiler import ProfileStats
+from repro.simcluster import simulate
 from repro.tuners import exhaustive
 from repro.tuners.ddpg import WARMUP_STEPS
-from repro.workloads import SUITE
+from repro.workloads import SUITE, workload_model
 from repro.workloads.base import MODELS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,6 +67,20 @@ class TestTableContainer:
     def test_config_str(self):
         s = config_str(MemoryConfig(2, 1, 0.4, 0.1, 3))
         assert s == "(2, 1, 0.4, 0.1, 3)"
+
+    def test_knob_tuple(self):
+        # The paper's tuples print as the configs they sit next to.
+        assert knob_tuple((4, 2, 0, 0.23, 1)) == "(4, 2, 0, 0.23, 1)"
+
+    def test_minutes_marks_aborted_runs(self):
+        # Table 5's default PageRank run aborts; lowering Cache Capacity
+        # to 0.4 runs clean.
+        model = workload_model("PageRank")
+        aborted = simulate(model, MemoryConfig(1, 2, 0.6, 0.0, 2), CLUSTER_A)
+        clean = simulate(model, MemoryConfig(1, 2, 0.4, 0.0, 2), CLUSTER_A)
+        assert aborted.aborted and not clean.aborted
+        assert minutes(aborted, 0) == f"{aborted.runtime_min:.0f} (aborted)"
+        assert minutes(clean) == f"{clean.runtime_min:.1f}"
 
 
 class TestDefaultConfig:
@@ -119,6 +135,11 @@ class TestTable6:
         mu = next(r for r in t.rows if r["notation"] == "M_u")
         ours = float(mu["ours"].rstrip("MB"))
         assert ours == pytest.approx(770, rel=0.15)
+
+    def test_rows_name_every_statistic_once(self):
+        # A statistic added to ProfileStats cannot be left out of Table 6.
+        named = [f.name for f in fields(ProfileStats) if f.name != "from_full_gc"]
+        assert sorted(row[3] for row in table6_stats.ROWS) == sorted(named)
 
 
 class TestTable7:
@@ -244,6 +265,17 @@ class TestSessionRunner:
             ("table5_manual_pagerank.py", "simulate"),
             ("tpch_relm.py", "profile_with_full_gc"),
         ]
+
+    def test_only_tables_formats_runtime_minutes(self):
+        # A runtime cell follows one rule, tables.minutes; no experiment
+        # reads runtime_min itself.
+        readers = sorted({
+            path.name
+            for path in (ROOT / "src/repro/experiments").glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "runtime_min"
+        })
+        assert readers == ["tables.py"]
 
     def test_sweeps_the_grid_once_per_app(self, monkeypatch):
         # Table 8's Exhaustive row and the top-5 % target read one sweep.
