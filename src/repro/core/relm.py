@@ -42,7 +42,7 @@ class InitialConfig:
 class ArbitratedConfig(InitialConfig):
     """Arbitrator output (Algorithm 1): the pools made safe + utility."""
 
-    old_mb: float  # m_o; action III grows it past the NR geometry's Old
+    old_mb: float  # m_o the safety check last used; NR's Old >= it (ceil rounds NR up)
     utility: float
     iterations: int
 

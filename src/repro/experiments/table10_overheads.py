@@ -45,10 +45,10 @@ PAPER = {
     "RelM": {"stats": "5ms", "fit": "0.1ms", "probe": "0.02ms", "size": "-"},
 }
 
-def _time(fn, reps: int = 5) -> float:
-    """Median wall-clock of ``fn`` over ``reps`` calls, in ms."""
+def _time(fn) -> float:
+    """Median wall-clock of ``fn`` over 5 calls, in ms."""
     times = []
-    for _ in range(reps):
+    for _ in range(5):
         t0 = time.perf_counter()
         fn()
         times.append((time.perf_counter() - t0) * 1000.0)

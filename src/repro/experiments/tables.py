@@ -11,7 +11,7 @@ class Table:
 
     title: str
     columns: list[str]
-    rows: list[dict] = field(default_factory=list)
+    rows: list[dict] = field(init=False, default_factory=list)
     notes: list[str] = field(default_factory=list)
 
     def add(self, *cells) -> None:

@@ -9,17 +9,6 @@ manager RSS kill) — and produces the observables every tuning policy
 consumes: runtime, container failures, GC overhead, cache hit ratio and
 spill fraction.
 """
-from .jvm import HeapGeometry
-from .memory import MemoryLayout, layout
-from .gc_model import GcBreakdown, gc_overhead
 from .runtime import SimulatedRun, simulate
 
-__all__ = [
-    "HeapGeometry",
-    "MemoryLayout",
-    "layout",
-    "GcBreakdown",
-    "gc_overhead",
-    "SimulatedRun",
-    "simulate",
-]
+__all__ = ["SimulatedRun", "simulate"]

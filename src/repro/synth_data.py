@@ -158,15 +158,15 @@ def labeled_examples(
     return spark.createDataFrame(pdf)
 
 
-def graph_edges(spark: SparkSession, *, n_edges: int, n_nodes: int, alpha: float = 1.3, seed: int = 13) -> DataFrame:
+def graph_edges(spark: SparkSession, *, n_edges: int, n_nodes: int, seed: int = 13) -> DataFrame:
     """LiveJournal-style directed graph with power-law out-degrees.
 
     Columns ``src``/``dst``; self-loops removed. Degree skew follows a
-    Zipf(alpha) popularity over node ids, like real social graphs.
+    Zipf(1.3) popularity over node ids, like real social graphs.
     """
     g = _rng(seed)
     ranks = np.arange(1, n_nodes + 1)
-    w = 1.0 / ranks**alpha
+    w = 1.0 / ranks**1.3
     w /= w.sum()
     src = g.choice(ranks, size=n_edges, p=w)
     dst = g.integers(1, n_nodes + 1, n_edges)

@@ -10,14 +10,3 @@
   CDBTune-style state and reward (§5.3);
 * :mod:`rf` — Random-Forest surrogate variant (§6.5).
 """
-from .base import ConfigSpace, Objective, Sample, TuningResult
-from .lhs import latin_hypercube, paper_table7_samples
-
-__all__ = [
-    "ConfigSpace",
-    "Objective",
-    "Sample",
-    "TuningResult",
-    "latin_hypercube",
-    "paper_table7_samples",
-]

@@ -19,6 +19,7 @@ networks.
 """
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 
@@ -101,7 +102,7 @@ class _MLP:
         """Gradient w.r.t. input without touching the weights."""
         return self._backprop(grad_out)[-1]
 
-    def copy_from(self, other: "_MLP", tau: float = 1.0) -> None:
+    def copy_from(self, other: "_MLP", tau: float) -> None:
         for i in range(3):
             self.w[i] = (1 - tau) * self.w[i] + tau * other.w[i]
             self.b[i] = (1 - tau) * self.b[i] + tau * other.b[i]
@@ -149,17 +150,15 @@ class DDPGAgent:
     critic: _MLP = field(init=False)
     actor_t: _MLP = field(init=False)
     critic_t: _MLP = field(init=False)
-    replay: list[tuple] = field(default_factory=list)
+    replay: list[tuple] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         rng = np.random.default_rng(self.seed)
         a_dim = self.space.dim
         self.actor = _MLP(STATE_DIM, a_dim, rng, "tanh")
         self.critic = _MLP(STATE_DIM + a_dim, 1, rng, "linear")
-        self.actor_t = _MLP(STATE_DIM, a_dim, rng, "tanh")
-        self.critic_t = _MLP(STATE_DIM + a_dim, 1, rng, "linear")
-        self.actor_t.copy_from(self.actor)
-        self.critic_t.copy_from(self.critic)
+        self.actor_t = copy.deepcopy(self.actor)
+        self.critic_t = copy.deepcopy(self.critic)
 
     def act(self, state: np.ndarray) -> np.ndarray:
         return self.actor.forward(state)[0]

@@ -10,17 +10,18 @@ observables the tuning policies see: runtime, failures, GC overheads,
 cache hit ratio, and spill fraction. :data:`MODELS` holds the six
 paper-scale models, keyed by Table 2 name.
 
-Models are **derived from measurement**: each job module
-(``wordcount.py`` … ``tpch.py``) runs the real PySpark job on synthetic
-data at a small scale factor and measures rows/bytes/time through
-:func:`measure_job` (:class:`MeasuredProfile`), and
-:func:`scale_measurement` extrapolates to the paper's dataset size. The
-constants frozen in :data:`MODELS` come from that pipeline (see the
-per-model derivation comments), so the experiment tables stay
-deterministic. ``tests/test_workload_scaling.py`` runs each live
-measurement, but its band check compares only the memory fields
-(``partition_mb × mem_expansion``, both set by hand) with the model; the
-one live-derived field, ``cpu_sec_per_task``, is not checked.
+Models are **set by hand**: the constants in :data:`MODELS` are chosen
+to match the paper's dataset sizes and published profiles (see the
+per-model comments) and are frozen, so the experiment tables stay
+deterministic. Each job module (``wordcount.py`` … ``tpch.py``) can
+measure the real PySpark job on synthetic data at a small scale factor
+through :func:`measure_job` (:class:`MeasuredProfile`), and
+:func:`scale_measurement` extrapolates a measurement to the paper's
+dataset size, but no model constant is read from that pipeline.
+``tests/test_workload_scaling.py`` runs each live measurement; its band
+check compares only the memory fields (``partition_mb × mem_expansion``,
+both set by hand) with the model, and the one live-derived field,
+``cpu_sec_per_task``, is neither used nor checked.
 
 This module imports no Spark, so the simulator, profiler, tuners and
 experiments read :data:`MODELS` without loading the Spark stack.
@@ -103,12 +104,11 @@ MODELS: dict[str, WorkloadModel] = {
     m.name: m
     for m in (
         # WordCount: 50GB input, 128MB partitions → 400 tasks. CPU cost
-        # and footprints derived via ``scale_measurement`` from
-        # ``wordcount.measure`` at SF=0.01 (see
-        # tests/test_workload_scaling.py); shuffle per task is the
+        # and footprints are set by hand; shuffle per task is the
         # per-partition word-count map (~8% of a deserialized 128MB
-        # partition), M_u the deserialized partition at the measured
-        # ~1.8x string expansion.
+        # partition), M_u the deserialized partition at ~1.8x string
+        # expansion (``wordcount.measure``'s hand-set ``mem_expansion``,
+        # which tests/test_workload_scaling.py checks at SF 0.0008).
         WorkloadModel(
             name="WordCount",
             input_mb=50 * 1024,

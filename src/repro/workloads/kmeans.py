@@ -62,8 +62,8 @@ def step(points: DataFrame, centers: np.ndarray) -> np.ndarray:
     return new
 
 
-def initial_centers(seed: int = 7) -> np.ndarray:
-    return np.random.default_rng(seed).uniform(-5, 5, (K, DIM))
+def initial_centers() -> np.ndarray:
+    return np.random.default_rng(7).uniform(-5, 5, (K, DIM))
 
 
 def run(spark: SparkSession, *, sf: float = 0.001, iterations: int = 3, seed: int = 11) -> DataFrame:

@@ -1,5 +1,6 @@
 """DDPG tuner (§5.3): network gradients, reward shaping, tuning loop."""
 import inspect
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -67,6 +68,11 @@ class TestMLP:
         b.copy_from(a, tau=0.5)
         assert np.allclose(b.w[0], 0.5 * w_before + 0.5 * a.w[0])
 
+    def test_soft_update_states_its_rate(self):
+        # copy_from is the soft update alone; the targets start as copies.
+        param = inspect.signature(_MLP.copy_from).parameters["tau"]
+        assert param.default is inspect.Parameter.empty
+
 
 class TestReward:
     def test_improvement_positive(self):
@@ -103,6 +109,29 @@ class TestAgent:
         a = agent.act(np.zeros(STATE_DIM))
         assert a.shape == (space.dim,)
         assert (np.abs(a) <= 1).all()
+
+    def test_targets_start_as_copies(self, monkeypatch):
+        # The agent draws the actor and the critic from its rng, and
+        # nothing else: the target networks are copies of them.
+        built = []
+        init = _MLP.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(_MLP, "__init__", counting)
+        agent = DDPGAgent(space=ConfigSpace(CLUSTER_A, "cache"), seed=0)
+        assert len(built) == 2
+        for net, target in ((agent.actor, agent.actor_t), (agent.critic, agent.critic_t)):
+            assert target is not net
+            for x, y in zip(net.w + net.b, target.w + target.b):
+                assert x is not y and np.array_equal(x, y)
+
+    def test_replay_starts_empty(self):
+        # The buffer is the agent's own state, never a constructor argument.
+        (replay,) = (f for f in fields(DDPGAgent) if f.name == "replay")
+        assert not replay.init
 
     def test_train_step_noop_below_batch(self):
         space = ConfigSpace(CLUSTER_A, "cache")

@@ -64,6 +64,11 @@ class TestTableContainer:
             t.add(1, 2.5, 3)
         assert t.rows == []
 
+    def test_rows_come_from_add(self):
+        # A table starts empty; every row goes through add's cell count check.
+        (rows,) = (f for f in fields(Table) if f.name == "rows")
+        assert not rows.init
+
     def test_config_str(self):
         s = config_str(MemoryConfig(2, 1, 0.4, 0.1, 3))
         assert s == "(2, 1, 0.4, 0.1, 3)"
@@ -215,6 +220,10 @@ class TestTable10:
     def test_relm_stores_no_model(self, measured):
         assert measured["RelM"]["size"] == "-"
 
+    def test_timed_cells_take_five_calls(self):
+        # Every timed cell is a median over the same number of calls.
+        assert list(inspect.signature(table10_overheads._time).parameters) == ["fn"]
+
     def test_sessions_time_each_iteration(self):
         # One fit and one probe per adaptive BO/GBO iteration (after the
         # 4 Table 7 bootstrap probes); DDPG fits only once its replay
@@ -295,6 +304,42 @@ class TestSessionRunner:
             table8_recommendations.recommend_all(name)
             common.top5_threshold(name, "A", 0)
         assert calls == list(SUITE)
+
+
+class TestPackageExports:
+    @staticmethod
+    def _imported_through(package):
+        """The names that src/, tests/ and perfbench/ import from
+        ``package`` itself (``from repro.core import x``, or ``from ..core
+        import x`` inside src/), its submodules left out."""
+        pkg_dir = ROOT / "src" / Path(*package.split("."))
+        names = set()
+        for top in ("src", "tests", "perfbench"):
+            for path in sorted((ROOT / top).rglob("*.py")):
+                parts = path.relative_to(ROOT / "src").with_suffix("").parts if top == "src" else None
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if not isinstance(node, ast.ImportFrom):
+                        continue
+                    if node.level:
+                        if parts is None:
+                            continue
+                        here = parts[:-1]  # a module's package; an __init__'s own package
+                        base = list(here[:len(here) - node.level + 1])
+                        target = ".".join(base + ([node.module] if node.module else []))
+                    else:
+                        target = node.module
+                    if target == package:
+                        names |= {a.name for a in node.names
+                                  if not (pkg_dir / f"{a.name}.py").exists() and not (pkg_dir / a.name).is_dir()}
+        return names
+
+    @pytest.mark.parametrize("package", ["repro.simcluster", "repro.core", "repro.profiler",
+                                         "repro.tuners", "repro.experiments"])
+    def test_exports_only_what_is_imported_through_it(self, package):
+        # A package __init__ re-exports a name only for a reader that
+        # imports it through the package.
+        exported = set(getattr(importlib.import_module(package), "__all__", []))
+        assert exported == self._imported_through(package)
 
 
 class TestFig16:

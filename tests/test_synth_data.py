@@ -1,4 +1,6 @@
 """Synthetic data generators (provided + RelM-suite extensions)."""
+import inspect
+
 import numpy as np
 import pytest
 
@@ -86,3 +88,7 @@ class TestGraphEdges:
     def test_nodes_in_range(self, spark):
         pdf = synth_data.graph_edges(spark, n_edges=1000, n_nodes=50).toPandas()
         assert pdf.src.between(1, 50).all() and pdf.dst.between(1, 50).all()
+
+    def test_skew_is_fixed(self):
+        # PageRank's graph has one degree skew, Zipf(1.3); no caller varies it.
+        assert "alpha" not in inspect.signature(synth_data.graph_edges).parameters

@@ -4,6 +4,7 @@ Each Table 2 application's DataFrame implementation is verified for
 result correctness — a wrong join, aggregation, or iteration shows up
 as a row diff, not just "it ran".
 """
+import inspect
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -147,6 +148,12 @@ class TestKMeans:
         centers = kmeans.initial_centers()
         moved = kmeans.step(points, centers)
         assert not np.allclose(moved, centers)
+
+    def test_initial_centers_are_fixed(self):
+        # The job, its tests and the benchmark's oracle start from one
+        # set of centers.
+        assert not inspect.signature(kmeans.initial_centers).parameters
+        assert np.array_equal(kmeans.initial_centers(), kmeans.initial_centers())
 
     def test_full_run_covers_all_points(self, spark, kmeans_run):
         result = kmeans_run.result
