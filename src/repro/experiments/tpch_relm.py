@@ -3,8 +3,8 @@
 The paper runs the TPC-H workload with MaxResourceAllocation (66 min
 total) and with RelM's recommendation from that run's profile (40 min, a
 ~40% saving). Same protocol here, over the simulated Cluster B with the
-TPC-H workload model whose per-query behaviour is measured from the
-real TPC-H-lite Spark suite. Both runs are the session runner's
+hand-set TPC-H workload model (22 query stages at SF-50). Both runs are
+the session runner's
 (:func:`~repro.experiments.sessions.session`).
 """
 from __future__ import annotations

@@ -9,8 +9,8 @@ Each application exists twice:
   PageRank, SF-50 TPC-H), and
 * as a **real PySpark DataFrame job** over synthetic data in its own
   module (``wordcount``, ``sortbykey``, ``kmeans``, ``svm``,
-  ``pagerank``, ``tpch``), oracle-checked against DuckDB and used for
-  measurement and correctness.
+  ``pagerank``, ``tpch``), run only to be checked against the same
+  query on DuckDB. No model constant is read from these runs.
 
 This package imports no job module, so the simulator side never loads
 Spark; ``from repro.workloads import kmeans`` imports a job on demand.

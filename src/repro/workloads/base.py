@@ -13,23 +13,16 @@ paper-scale models, keyed by Table 2 name.
 Models are **set by hand**: the constants in :data:`MODELS` are chosen
 to match the paper's dataset sizes and published profiles (see the
 per-model comments) and are frozen, so the experiment tables stay
-deterministic. Each job module (``wordcount.py`` … ``tpch.py``) can
-measure the real PySpark job on synthetic data at a small scale factor
-through :func:`measure_job` (:class:`MeasuredProfile`), and
-:func:`scale_measurement` extrapolates a measurement to the paper's
-dataset size, but no model constant is read from that pipeline.
-``tests/test_workload_scaling.py`` runs each live measurement; its band
-check compares only the memory fields (``partition_mb × mem_expansion``,
-both set by hand) with the model, and the one live-derived field,
-``cpu_sec_per_task``, is neither used nor checked.
+deterministic. No real run feeds them: the Statistics Generator's
+profiles come from the simulator (:mod:`repro.simcluster.profile_gen`),
+and the real PySpark jobs in ``wordcount.py`` … ``tpch.py`` are checked
+for correctness against DuckDB only.
 
 This module imports no Spark, so the simulator, profiler, tuners and
 experiments read :data:`MODELS` without loading the Spark stack.
 """
 from __future__ import annotations
 
-import time
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..units import ceil_div
@@ -107,8 +100,8 @@ MODELS: dict[str, WorkloadModel] = {
         # and footprints are set by hand; shuffle per task is the
         # per-partition word-count map (~8% of a deserialized 128MB
         # partition), M_u the deserialized partition at ~1.8x string
-        # expansion (``wordcount.measure``'s hand-set ``mem_expansion``,
-        # which tests/test_workload_scaling.py checks at SF 0.0008).
+        # expansion (java.lang.String's ~2 bytes per char plus object
+        # headers).
         WorkloadModel(
             name="WordCount",
             input_mb=50 * 1024,
@@ -254,87 +247,3 @@ MODELS: dict[str, WorkloadModel] = {
         ),
     )
 }
-
-
-@dataclass(frozen=True)
-class MeasuredProfile:
-    """Raw measurements from one real local-Spark run of a workload."""
-
-    name: str
-    sf: float
-    rows: int
-    input_mb: float  # estimated logical input volume at this SF
-    wall_sec: float  # end-to-end wall time of the job on this host
-    mem_expansion: float  # in-memory bytes per on-disk byte (set per workload)
-    shuffle_frac: float  # shuffle volume as a fraction of input volume
-
-
-#: Single-core throughput ratio host → one Cluster A core. Cluster A is
-#: 2016-era hardware driven through JVM object paths; this host runs
-#: vectorized Arrow paths. Measured once by timing the WordCount job
-#: here vs the paper's per-core throughput implied by Figure 4.
-HOST_TO_CLUSTER_A_CPU = 6.0
-#: Cores of the host the measurements ran on.
-HOST_CORES = 16
-
-
-def scale_measurement(
-    m: MeasuredProfile,
-    *,
-    target_input_mb: float,
-    partition_mb: float,
-) -> dict:
-    """Extrapolate a small-SF measurement to paper scale.
-
-    Returns the measurement-derived subset of :class:`WorkloadModel`
-    fields; structural fields (iterations, tenured fraction, network
-    profile) come from the workload's computational pattern and are set
-    per model in :data:`MODELS`.
-    """
-    if m.input_mb <= 0 or m.wall_sec <= 0:
-        raise ValueError("measurement must have positive input and wall time")
-    scale = target_input_mb / m.input_mb
-    # Host wall time is ~fully parallel across HOST_CORES; convert to
-    # single-slot CPU seconds per partition on a Cluster A core.
-    cpu_sec_total_host = m.wall_sec * HOST_CORES
-    cpu_sec_total_a = cpu_sec_total_host * HOST_TO_CLUSTER_A_CPU * scale
-    n_partitions = ceil_div(int(target_input_mb), int(partition_mb))
-    return {
-        "input_mb": target_input_mb,
-        "partition_mb": partition_mb,
-        "cpu_sec_per_task": cpu_sec_total_a / n_partitions,
-        "unmanaged_task_mb": partition_mb * m.mem_expansion,
-        "shuffle_task_mb": partition_mb * m.shuffle_frac * m.mem_expansion,
-    }
-
-
-def measure_job(
-    name: str,
-    sf: float,
-    *,
-    count_rows: Callable[[], int],
-    job: Callable[[], object],
-    bytes_per_row: float,
-    mem_expansion: float,
-    shuffle_frac: float,
-) -> MeasuredProfile:
-    """Measure one real run of a workload's Spark job.
-
-    ``count_rows`` counts the job's input rows, which at ``bytes_per_row``
-    give the input volume; ``job`` runs the job to completion and is the
-    timed part. ``mem_expansion`` and ``shuffle_frac`` are the workload's
-    hand-set factors.
-    """
-    rows = count_rows()
-    t0 = time.perf_counter()
-    job()
-    wall = time.perf_counter() - t0
-    return MeasuredProfile(
-        name=name,
-        sf=sf,
-        rows=rows,
-        input_mb=rows * bytes_per_row / 2**20,
-        wall_sec=wall,
-        mem_expansion=mem_expansion,
-        shuffle_frac=shuffle_frac,
-    )

@@ -13,7 +13,6 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from .. import synth_data
-from .base import MeasuredProfile, measure_job
 
 _POINTS_PER_SF = 20_000_000  # SF=1 ~ 1GB of 4-d float points
 DIM = 4
@@ -93,16 +92,4 @@ def oracle_sql(centers: np.ndarray) -> str:
     return (
         f"SELECT assigned, count(*) AS cnt, {avgs} FROM "
         f"(SELECT *, {expr} AS assigned FROM points) GROUP BY assigned"
-    )
-
-
-def measure(spark: SparkSession, *, sf: float) -> MeasuredProfile:
-    return measure_job(
-        "K-means",
-        sf,
-        count_rows=input_df(spark, sf=sf).count,
-        job=lambda: run(spark, sf=sf, iterations=2).count(),
-        bytes_per_row=8 * DIM + 8,
-        mem_expansion=1.5,  # boxed Double[] vectors vs packed doubles
-        shuffle_frac=0.01,  # only per-partition partial sums shuffle
     )

@@ -17,7 +17,6 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from .. import synth_data
-from .base import MeasuredProfile, measure_job
 
 _EDGES_PER_SF = 4_000_000  # SF=1 ~ 69M-edge-class graph scaled down
 DAMPING = 0.85
@@ -59,15 +58,3 @@ def run(spark: SparkSession, *, sf: float = 0.001, iterations: int = 3, seed: in
     for _ in range(iterations):
         ranks = iterate(links, nodes, ranks)
     return ranks
-
-
-def measure(spark: SparkSession, *, sf: float) -> MeasuredProfile:
-    return measure_job(
-        "PageRank",
-        sf,
-        count_rows=input_df(spark, sf=sf).count,
-        job=lambda: run(spark, sf=sf, iterations=2).count(),
-        bytes_per_row=16,
-        mem_expansion=6.0,  # GraphX edge/vertex replication + routing tables
-        shuffle_frac=0.0,  # GraphX keeps messages in its own cached structures
-    )

@@ -10,7 +10,6 @@ from __future__ import annotations
 from pyspark.sql import DataFrame, SparkSession
 
 from .. import synth_data
-from .base import MeasuredProfile, measure_job
 
 _ROWS_PER_SF = 8_000_000  # SF=1 ~ 1GB of (k, v) pairs
 
@@ -28,15 +27,3 @@ def run(spark: SparkSession, *, sf: float = 0.001, seed: int = 4) -> DataFrame:
 #: Content-equality oracle (row order is asserted separately in tests
 #: because the oracle canonicalizes order away).
 ORACLE_SQL = "SELECT k, v FROM pairs ORDER BY k, v"
-
-
-def measure(spark: SparkSession, *, sf: float) -> MeasuredProfile:
-    return measure_job(
-        "SortByKey",
-        sf,
-        count_rows=input_df(spark, sf=sf).count,
-        job=lambda: run(spark, sf=sf).count(),
-        bytes_per_row=16,  # 8B key + 8B value
-        mem_expansion=1.5,  # boxed pairs / sort records
-        shuffle_frac=1.0,  # every byte is shuffled and sorted
-    )

@@ -14,7 +14,6 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from .. import synth_data
-from .base import MeasuredProfile, measure_job
 
 _ROWS_PER_SF = 20_000_000
 DIM = 4
@@ -67,15 +66,3 @@ def gradient_oracle_sql(w: np.ndarray) -> str:
         for i in range(DIM)
     )
     return f"SELECT {cols} FROM examples"
-
-
-def measure(spark: SparkSession, *, sf: float) -> MeasuredProfile:
-    return measure_job(
-        "SVM",
-        sf,
-        count_rows=input_df(spark, sf=sf).count,
-        job=lambda: run(spark, sf=sf, iterations=2)[1].count(),
-        bytes_per_row=8 * DIM + 8,
-        mem_expansion=1.67,
-        shuffle_frac=0.005,  # only partial gradient sums shuffle
-    )

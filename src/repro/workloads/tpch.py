@@ -11,7 +11,6 @@ from __future__ import annotations
 from pyspark.sql import DataFrame, SparkSession
 
 from .. import synth_data
-from .base import MeasuredProfile, measure_job
 
 #: Query name → (SQL over lineitem/orders/customer/part). The same text
 #: runs on Spark (via temp views) and on DuckDB (via the oracle), so the
@@ -105,16 +104,3 @@ def run_query(spark: SparkSession, name: str, tbls: dict[str, DataFrame]) -> Dat
     for tname, df in tbls.items():
         df.createOrReplaceTempView(tname)
     return spark.sql(QUERIES[name])
-
-
-def measure(spark: SparkSession, *, sf: float) -> MeasuredProfile:
-    tbls = tables(spark, sf=sf)
-    return measure_job(
-        "TPC-H",
-        sf,
-        count_rows=tbls["lineitem"].count,
-        job=lambda: [run_query(spark, q, tbls).count() for q in QUERIES],
-        bytes_per_row=90,  # ~90B per lineitem row dominates volume
-        mem_expansion=1.6,
-        shuffle_frac=0.25,  # join/aggregate exchanges on filtered data
-    )

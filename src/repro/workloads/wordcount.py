@@ -9,7 +9,6 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from .. import synth_data
-from .base import MeasuredProfile, measure_job
 
 #: Rows per unit scale factor (SF=1 ~ 1GB of text at ~64B/line ~ 16M lines).
 _LINES_PER_SF = 16_000_000
@@ -36,18 +35,3 @@ ORACLE_SQL = """
     FROM (SELECT unnest(string_split(line, ' ')) AS w FROM lines)
     GROUP BY w
 """
-
-
-def measure(spark: SparkSession, *, sf: float) -> MeasuredProfile:
-    """Run the real job and measure rows, volume and wall time."""
-    lines = input_df(spark, sf=sf)
-    sample = lines.limit(2000).toPandas()
-    return measure_job(
-        "WordCount",
-        sf,
-        count_rows=lines.count,
-        job=lambda: run(spark, sf=sf).count(),
-        bytes_per_row=float(sample["line"].str.len().mean()) + 1.0,
-        mem_expansion=1.8,  # java.lang.String ~2 bytes/char + object headers
-        shuffle_frac=0.08,  # word/count pairs are a small fraction of text
-    )

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.tuners.gp import GaussianProcess, expected_improvement, _erf, _norm_cdf
+from repro.tuners.gp import GaussianProcess, expected_improvement, _erf, _norm_cdf, _sqdist
 
 
 class TestErf:
@@ -13,6 +13,20 @@ class TestErf:
     def test_cdf_monotone(self):
         z = np.linspace(-4, 4, 100)
         assert (np.diff(_norm_cdf(z)) >= 0).all()
+
+
+class TestSqdist:
+    def test_bit_identical_to_broadcast_reduction(self):
+        # Column-wise accumulation equals the (k, n, d) broadcast sum
+        # exactly for d <= 7, which covers BO's 4 and GBO's 7 features.
+        rng = np.random.default_rng(0)
+        for _ in range(1400):
+            d = rng.integers(1, 8)
+            k, n = rng.integers(1, 60, size=2)
+            a = rng.normal(size=(k, d)) * rng.uniform(0.1, 10.0)
+            b = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0)
+            expected = ((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)
+            assert np.array_equal(_sqdist(a, b), expected)
 
 
 def toy_1d(n=8, seed=0):
